@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for Berge and Nash equilibria in finite
 normal-form games."""
 
-from .game import (Game, IncompleteProfile, MixedProfile, MixedStrategy,
-                   PureProfile, UnsupportedGameError)
+from .game import (Game, MixedProfile, MixedStrategy, PureProfile,
+                   UnsupportedGameError)
 from .equilibria import (BestSupportResult, EquilibriumVerdict,
                          berge_deficiency, best_own_deviation_value,
                          best_support, constant_sum, enumerate_pure_berge,
@@ -17,7 +17,7 @@ from .gamefile import (GameFormatError, BUILTIN_NAMES, builtin, builtin_game,
                        load_game, parse_game, serialize_game)
 
 __all__ = [
-    "Game", "IncompleteProfile", "MixedProfile", "MixedStrategy", "PureProfile",
+    "Game", "MixedProfile", "MixedStrategy", "PureProfile",
     "UnsupportedGameError",
     "BestSupportResult", "EquilibriumVerdict", "berge_deficiency",
     "best_own_deviation_value", "best_support", "constant_sum",

@@ -39,7 +39,8 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
     if spec == "uniform":
         return game.uniform()
     try:
-        raw = json.loads(spec)
+        # Decimal literals go to Fraction as source text, never through float.
+        raw = json.loads(spec, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ValueError(f"profile spec is neither 'uniform' nor valid JSON: {exc}")
     if not isinstance(raw, list) or len(raw) != game.player_count:

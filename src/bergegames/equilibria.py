@@ -16,12 +16,12 @@ exact equality; there is no tolerance anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .game import Game, MixedProfile, MixedStrategy, PureProfile, UnsupportedGameError
+from .game import (Game, MixedProfile, MixedStrategy, PureProfile, UnsupportedGameError,
+                   profiles)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,9 @@ class EquilibriumVerdict:
     worst_witness: tuple
 
     def __post_init__(self):
-        assert self.is_equilibrium == (self.deficiency == 0)
+        if self.is_equilibrium != (self.deficiency == 0):
+            raise ValueError(f"inconsistent verdict: is_equilibrium={self.is_equilibrium} "
+                             f"with deficiency {self.deficiency}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,10 @@ def _insert(complement: Sequence[int], player: int, own: int) -> PureProfile:
     return tuple(parts)
 
 
+def _drop(profile: Sequence[int], player: int) -> tuple[int, ...]:
+    return tuple(v for j, v in enumerate(profile) if j != player)
+
+
 def _payoff_vs_pure_complement(game: Game, player: int, strategy: MixedStrategy,
                                complement: Sequence[int]) -> Fraction:
     # Expected payoff of (strategy at `player`, point distributions elsewhere).
@@ -71,36 +77,42 @@ def _payoff_vs_pure_complement(game: Game, player: int, strategy: MixedStrategy,
     return total
 
 
+def _best_own_deviation(game: Game, profile: MixedProfile,
+                        player: int) -> tuple[Fraction, int]:
+    # The best deviation value and the first pure strategy attaining it.
+    m = game.strategy_counts[player]
+    best = None
+    for own in range(m):
+        value = game.expected_payoff(profile.replace(player, MixedStrategy.point(own, m)),
+                                     player)
+        if best is None or value > best[0]:
+            best = (value, own)
+    return best
+
+
 def best_own_deviation_value(game: Game, profile: MixedProfile, player: int) -> Fraction:
     """Max payoff `player` can reach by unilateral deviation, holding the
     co-players fixed.  Equals the supremum over mixed deviations by affinity."""
     game.validate_profile(profile)
-    best = None
-    for own in range(game.strategy_counts[player]):
-        value = game.expected_payoff(
-            profile.replace(player, MixedStrategy.point(own, game.strategy_counts[player])),
-            player)
-        if best is None or value > best:
-            best = value
-    return best
+    return _best_own_deviation(game, profile, player)[0]
+
+
+def _verdict(game: Game, profile: MixedProfile, best) -> EquilibriumVerdict:
+    # `best(player)` is (best reachable value, witness); the verdict's witness
+    # is the first player with the largest gap over the realized payoff.
+    game.validate_profile(profile)
+    worst_gap = worst_witness = None
+    for player in range(game.player_count):
+        value, witness = best(player)
+        gap = value - game.expected_payoff(profile, player)
+        if worst_gap is None or gap > worst_gap:
+            worst_gap, worst_witness = gap, (player, witness)
+    return EquilibriumVerdict(worst_gap == 0, max(worst_gap, Fraction(0)), worst_witness)
 
 
 def is_nash(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
     """Exact Nash check: no player gains by any unilateral (mixed) deviation."""
-    game.validate_profile(profile)
-    worst_gap = Fraction(0)
-    worst_witness = None
-    for player in range(game.player_count):
-        realized = game.expected_payoff(profile, player)
-        m = game.strategy_counts[player]
-        for own in range(m):
-            value = game.expected_payoff(
-                profile.replace(player, MixedStrategy.point(own, m)), player)
-            gap = value - realized
-            if worst_witness is None or gap > worst_gap:
-                worst_gap = gap
-                worst_witness = (player, own)
-    return EquilibriumVerdict(worst_gap == 0, max(worst_gap, Fraction(0)), worst_witness)
+    return _verdict(game, profile, lambda i: _best_own_deviation(game, profile, i))
 
 
 def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSupportResult:
@@ -110,7 +122,7 @@ def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSuppor
         raise ValueError("strategy does not match the player's strategy count")
     value = None
     supports = []
-    for complement in itertools.product(*(range(m) for m in _co_counts(game, player))):
+    for complement in profiles(_co_counts(game, player)):
         u = _payoff_vs_pure_complement(game, player, strategy, complement)
         if value is None or u > value:
             value, supports = u, [complement]
@@ -119,20 +131,15 @@ def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSuppor
     return BestSupportResult(player, value, tuple(supports))
 
 
+def _best_complement(game: Game, profile: MixedProfile, player: int) -> tuple[Fraction, tuple]:
+    result = best_support(game, player, profile[player])
+    return result.value, result.supports[0]
+
+
 def is_berge(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
     """Exact Berge check (in the sense of Zhukovskii): no coalition of all
     co-players of any player can raise that player's payoff."""
-    game.validate_profile(profile)
-    worst_gap = Fraction(0)
-    worst_witness = None
-    for player in range(game.player_count):
-        realized = game.expected_payoff(profile, player)
-        result = best_support(game, player, profile[player])
-        gap = result.value - realized
-        if worst_witness is None or gap > worst_gap:
-            worst_gap = gap
-            worst_witness = (player, result.supports[0])
-    return EquilibriumVerdict(worst_gap == 0, max(worst_gap, Fraction(0)), worst_witness)
+    return _verdict(game, profile, lambda i: _best_complement(game, profile, i))
 
 
 def berge_deficiency(game: Game, profile: MixedProfile) -> Fraction:
@@ -140,39 +147,29 @@ def berge_deficiency(game: Game, profile: MixedProfile) -> Fraction:
     return is_berge(game, profile).deficiency
 
 
+def _pure_equilibria(game: Game, key) -> list[PureProfile]:
+    # A pure profile is an equilibrium iff each player's payoff is the best
+    # among all profiles sharing `key(profile, player)`: the complement for
+    # Nash (best own deviation), the own strategy for Berge (best complement).
+    best = [{} for _ in range(game.player_count)]
+    for profile in game.pure_profiles():
+        for player, u in enumerate(game.payoff_vector(profile)):
+            table, k = best[player], key(profile, player)
+            if k not in table or u > table[k]:
+                table[k] = u
+    return [profile for profile in game.pure_profiles()
+            if all(u == best[player][key(profile, player)]
+                   for player, u in enumerate(game.payoff_vector(profile)))]
+
+
 def enumerate_pure_nash(game: Game) -> list[PureProfile]:
     """All pure Nash equilibria, lexicographic."""
-    found = []
-    for profile in game.pure_profiles():
-        vec = game.payoff_vector(profile)
-        if all(game.payoff(_insert(_drop(profile, i), i, own), i) <= vec[i]
-               for i in range(game.player_count)
-               for own in range(game.strategy_counts[i])):
-            found.append(profile)
-    return found
+    return _pure_equilibria(game, _drop)
 
 
 def enumerate_pure_berge(game: Game) -> list[PureProfile]:
     """All pure Berge equilibria, lexicographic."""
-    found = []
-    for profile in game.pure_profiles():
-        vec = game.payoff_vector(profile)
-        ok = True
-        for i in range(game.player_count):
-            own = profile[i]
-            for complement in itertools.product(*(range(m) for m in _co_counts(game, i))):
-                if game.payoff(_insert(complement, i, own), i) > vec[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(profile)
-    return found
-
-
-def _drop(profile: Sequence[int], player: int) -> tuple[int, ...]:
-    return tuple(v for j, v in enumerate(profile) if j != player)
+    return _pure_equilibria(game, lambda profile, player: profile[player])
 
 
 def constant_sum(game: Game) -> Optional[Fraction]:
@@ -193,7 +190,7 @@ def own_payoff_independent(game: Game) -> tuple[bool, ...]:
     flags = []
     for player in range(game.player_count):
         independent = True
-        for complement in itertools.product(*(range(m) for m in _co_counts(game, player))):
+        for complement in profiles(_co_counts(game, player)):
             values = {game.payoff(_insert(complement, player, own), player)
                       for own in range(game.strategy_counts[player])}
             if len(values) > 1:

@@ -24,6 +24,12 @@ class UnsupportedGameError(Exception):
     """Raised when an operation does not apply to the given game shape."""
 
 
+def profiles(counts: Sequence[int]) -> Iterator[PureProfile]:
+    """All pure profiles for these per-player strategy counts, lexicographic
+    (the last player's index varies fastest)."""
+    return itertools.product(*(range(m) for m in counts))
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed; use Fraction, int or 'num/den'")
@@ -100,29 +106,6 @@ class MixedProfile:
         return MixedProfile(tuple(parts))
 
 
-@dataclass(frozen=True)
-class IncompleteProfile:
-    """Strategies of every player except one (the co-players' profile)."""
-
-    excluded_player: int
-    co_strategies: tuple[MixedStrategy, ...]
-
-    def complete(self, strategy: MixedStrategy) -> MixedProfile:
-        """Insert `strategy` at the excluded coordinate."""
-        parts = list(self.co_strategies)
-        parts.insert(self.excluded_player, strategy)
-        return MixedProfile(tuple(parts))
-
-    @classmethod
-    def pure(cls, excluded_player: int, indices: Sequence[int],
-             sizes: Sequence[int]) -> "IncompleteProfile":
-        """Point distributions at `indices`; `sizes` are the co-players' counts."""
-        if len(indices) != len(sizes):
-            raise ValueError("index/size length mismatch")
-        return cls(excluded_player,
-                   tuple(MixedStrategy.point(i, m) for i, m in zip(indices, sizes)))
-
-
 class Game:
     """An n-player game given by strategy counts and an exact payoff tensor.
 
@@ -148,7 +131,7 @@ class Game:
         self._names = names
 
         payoffs = {}
-        for profile in itertools.product(*(range(m) for m in counts)):
+        for profile in profiles(counts):
             try:
                 vec = table[profile]
             except KeyError:
@@ -176,7 +159,7 @@ class Game:
 
     def pure_profiles(self) -> Iterator[PureProfile]:
         """All pure profiles in lexicographic order."""
-        return itertools.product(*(range(m) for m in self._counts))
+        return profiles(self._counts)
 
     def validate_pure(self, profile: Sequence[int]) -> PureProfile:
         profile = tuple(profile)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
-from .game import Game
+from .game import Game, profiles
 
 
 class GameFormatError(ValueError):
@@ -90,14 +91,11 @@ def parse_game(text: str) -> Game:
             _parse_rational(v, f"profile {list(profile)}, player {j + 1}")
             for j, v in enumerate(u))
 
-    expected = 1
-    for m in counts:
-        expected *= m
+    expected = math.prod(counts)
     if len(table) != expected:
-        missing = [p for p in itertools.product(*(range(m) for m in counts))
-                   if p not in table]
+        missing = itertools.islice((p for p in profiles(counts) if p not in table), 5)
         raise GameFormatError(f"expected {expected} payoff records, got {len(table)}; "
-                              f"missing profiles: {[list(p) for p in missing[:5]]}")
+                              f"missing profiles: {[list(p) for p in missing]}")
     return Game(counts, table, names)
 
 
@@ -124,19 +122,6 @@ def serialize_game(game: Game) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _doc(names, payoff_fn) -> str:
-    counts = tuple(len(ns) for ns in names)
-    doc = {
-        "players": len(names),
-        "strategies": [list(ns) for ns in names],
-        "payoffs": [
-            {"profile": list(p), "u": [str(v) for v in payoff_fn(p)]}
-            for p in itertools.product(*(range(m) for m in counts))
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
 # The 3-player 2x2x2 game in which no player can influence their own payoff,
 # every profile is a weak Nash equilibrium, yet no Berge equilibrium exists
 # in pure or mixed strategies.
@@ -147,44 +132,32 @@ _EQ5_TABLE = {
     (1, 0, 1): (1, 1, 1), (1, 1, 1): (0, 1, 2),
 }
 
+_PD_TABLE = {(0, 0): (3, 3), (0, 1): (0, 5), (1, 0): (5, 0), (1, 1): (1, 1)}
 
-def _builtin_eq5() -> str:
-    return _doc((("A1", "A2"), ("B1", "B2"), ("C1", "C2")),
-                lambda p: _EQ5_TABLE[p])
-
-
-def _builtin_zero222() -> str:
-    return _doc((("A1", "A2"), ("B1", "B2"), ("C1", "C2")),
-                lambda p: (0, 0, 0))
+_ABC = (("A1", "A2"), ("B1", "B2"), ("C1", "C2"))
 
 
-def _builtin_pd() -> str:
-    table = {(0, 0): (3, 3), (0, 1): (0, 5), (1, 0): (5, 0), (1, 1): (1, 1)}
-    return _doc((("C", "D"), ("C", "D")), lambda p: table[p])
-
-
-def _builtin_sumgame222() -> str:
+def _sumgame222_payoffs(p):
     # Own-payoff-independent positive control: each player's payoff counts
     # how many co-players pick their first strategy, so all three
     # best-support graphs meet at the all-first-strategies corner.
-    def u(p):
-        first = [int(i == 0) for i in p]
-        return tuple(sum(first) - first[j] for j in range(3))
-    return _doc((("A1", "A2"), ("B1", "B2"), ("C1", "C2")), u)
+    first = [int(i == 0) for i in p]
+    return tuple(sum(first) - first[j] for j in range(3))
 
 
 _BUILTINS = {
-    "eq5": _builtin_eq5,
-    "zero222": _builtin_zero222,
-    "pd": _builtin_pd,
-    "sumgame222": _builtin_sumgame222,
+    "eq5": lambda: Game((2, 2, 2), _EQ5_TABLE, _ABC),
+    "zero222": lambda: Game((2, 2, 2), dict.fromkeys(profiles((2, 2, 2)), (0, 0, 0)), _ABC),
+    "pd": lambda: Game((2, 2), _PD_TABLE, (("C", "D"), ("C", "D"))),
+    "sumgame222": lambda: Game((2, 2, 2), {p: _sumgame222_payoffs(p)
+                                           for p in profiles((2, 2, 2))}, _ABC),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
-def builtin(name: str) -> str:
-    """The canonical document text of a built-in game."""
+def builtin_game(name: str) -> Game:
+    """A built-in game by name."""
     try:
         return _BUILTINS[name]()
     except KeyError:
@@ -192,5 +165,6 @@ def builtin(name: str) -> str:
                          + ", ".join(BUILTIN_NAMES)) from None
 
 
-def builtin_game(name: str) -> Game:
-    return parse_game(builtin(name))
+def builtin(name: str) -> str:
+    """The canonical document text of a built-in game."""
+    return serialize_game(builtin_game(name))

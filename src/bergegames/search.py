@@ -233,8 +233,8 @@ def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
     if meet:
         face = meet.sorted_faces()[0]
         witness = _witness_from_face(face)
-        verdict = equilibria.is_berge(game, witness)
-        assert verdict.is_equilibrium, "witness failed exact re-verification"
+        if not equilibria.is_berge(game, witness).is_equilibrium:
+            raise RuntimeError("witness failed exact re-verification")
         return ExistenceCertificate(True, witness, graphs, None)
     conflict = None
     for coord in range(3):

@@ -88,6 +88,12 @@ class TestCheck:
                            "--profile", spec, "--kind", "nash")
         assert code == 0
 
+    def test_decimal_profile_read_exactly(self, capsys, pd_file):
+        spec = "[[0.12345678901234567890123, 0.87654321098765432109877],[1,0]]"
+        code, out, _ = run(capsys, "check", pd_file, "--profile", spec, "--kind", "nash")
+        assert code == 3
+        assert "deficiency: 112345678901234567890123/100000000000000000000000" in out
+
     def test_bad_profile_spec(self, capsys, eq5_file):
         code, _, err = run(capsys, "check", eq5_file,
                            "--profile", '[["1/2","1/3"]]', "--kind", "nash")

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bergegames
 from bergegames import (MixedStrategy, UnsupportedGameError, berge_deficiency,
                         best_own_deviation_value, best_support, constant_sum,
                         enumerate_pure_berge, enumerate_pure_nash, is_berge,
@@ -11,6 +15,20 @@ from bergegames import (MixedStrategy, UnsupportedGameError, berge_deficiency,
 
 from conftest import (oracle_pure_berge, oracle_pure_nash, random_game,
                       random_profile, random_strategy)
+
+
+def test_inconsistent_verdict_rejected_under_optimize():
+    # The consistency check must survive `python -O`, which strips asserts.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bergegames.__file__)))
+    code = ("from bergegames import EquilibriumVerdict\n"
+            "try:\n"
+            "    EquilibriumVerdict(True, 5, None)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert result.returncode == 0
 
 
 class TestBestOwnDeviation:
@@ -148,11 +166,18 @@ class TestEnumeration:
 
     def test_matches_oracle_on_random_games(self):
         rng = random.Random(41)
-        for _ in range(60):
-            g = random_game(rng)
+        games = [random_game(rng) for _ in range(60)]
+        for g in games:
             for pure in g.pure_profiles():
                 assert is_nash(g, g.point(pure)).is_equilibrium == oracle_pure_nash(g, pure)
                 assert is_berge(g, g.point(pure)).is_equilibrium == oracle_pure_berge(g, pure)
+        # Heavily tied 4-player games, like the benchmark's enumeration inputs.
+        games += [random_game(rng, players=4, lo=0, hi=2) for _ in range(20)]
+        for g in games:
+            assert enumerate_pure_nash(g) == [p for p in g.pure_profiles()
+                                              if oracle_pure_nash(g, p)]
+            assert enumerate_pure_berge(g) == [p for p in g.pure_profiles()
+                                               if oracle_pure_berge(g, p)]
 
 
 class TestStructure:

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,17 @@ class TestParse:
         doc["payoffs"] = [r for r in doc["payoffs"] if r["profile"] != [1, 1, 1]]
         with pytest.raises(GameFormatError, match=r"missing profiles.*\[1, 1, 1\]"):
             parse_game(json.dumps(doc))
+
+    def test_missing_profiles_found_lazily(self):
+        n = 22
+        doc = {"players": n, "strategies": [["a", "b"]] * n,
+               "payoffs": [{"profile": [0] * n, "u": [0] * n}]}
+        first_missing = str([0] * (n - 1) + [1])
+        start = time.perf_counter()
+        with pytest.raises(GameFormatError,
+                           match=r"missing profiles: \[" + re.escape(first_missing)):
+            parse_game(json.dumps(doc))
+        assert time.perf_counter() - start < 1
 
     def test_duplicate_profile(self):
         doc = _eq5_doc()
