@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import equilibria, search
 from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError
 from .gamefile import (BUILTIN_NAMES, GameFormatError, builtin, format_rational,
-                       load_game)
+                       load_game, parse_rational_text)
 
 COORD_NAMES = ("p", "q", "r")
 
@@ -40,7 +40,7 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
         return game.uniform()
     try:
         # Decimal literals go to Fraction as source text, never through float.
-        raw = json.loads(spec, parse_float=Fraction)
+        raw = json.loads(spec, parse_float=parse_rational_text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"profile spec is neither 'uniform' nor valid JSON: {exc}")
     if not isinstance(raw, list) or len(raw) != game.player_count:
@@ -50,7 +50,7 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
         if not isinstance(vec, list):
             raise ValueError(f"player {j + 1}: expected a probability vector")
         try:
-            probs = tuple(Fraction(str(v)) for v in vec)
+            probs = tuple(parse_rational_text(str(v)) for v in vec)
             strategies.append(MixedStrategy(probs))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ValueError(f"player {j + 1}: bad probability vector ({exc})")

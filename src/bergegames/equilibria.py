@@ -16,6 +16,7 @@ exact equality; there is no tolerance anywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,37 +58,13 @@ def _co_counts(game: Game, player: int) -> tuple[int, ...]:
     return tuple(m for j, m in enumerate(game.strategy_counts) if j != player)
 
 
-def _insert(complement: Sequence[int], player: int, own: int) -> PureProfile:
-    parts = list(complement)
-    parts.insert(player, own)
-    return tuple(parts)
-
-
-def _drop(profile: Sequence[int], player: int) -> tuple[int, ...]:
-    return tuple(v for j, v in enumerate(profile) if j != player)
-
-
-def _payoff_vs_pure_complement(game: Game, player: int, strategy: MixedStrategy,
-                               complement: Sequence[int]) -> Fraction:
-    # Expected payoff of (strategy at `player`, point distributions elsewhere).
-    total = Fraction(0)
-    for own, p in enumerate(strategy.probs):
-        if p:
-            total += p * game.payoff(_insert(complement, player, own), player)
-    return total
-
-
 def _best_own_deviation(game: Game, profile: MixedProfile,
                         player: int) -> tuple[Fraction, int]:
     # The best deviation value and the first pure strategy attaining it.
-    m = game.strategy_counts[player]
-    best = None
-    for own in range(m):
-        value = game.expected_payoff(profile.replace(player, MixedStrategy.point(own, m)),
-                                     player)
-        if best is None or value > best[0]:
-            best = (value, own)
-    return best
+    values, den = game.contract(player, {j: s for j, s in enumerate(profile.strategies)
+                                         if j != player})
+    best = max(values)
+    return Fraction(best, den), values.index(best)
 
 
 def best_own_deviation_value(game: Game, profile: MixedProfile, player: int) -> Fraction:
@@ -120,15 +97,11 @@ def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSuppor
     every maximizer.  By multilinearity this bounds all mixed complements."""
     if len(strategy) != game.strategy_counts[player]:
         raise ValueError("strategy does not match the player's strategy count")
-    value = None
-    supports = []
-    for complement in profiles(_co_counts(game, player)):
-        u = _payoff_vs_pure_complement(game, player, strategy, complement)
-        if value is None or u > value:
-            value, supports = u, [complement]
-        elif u == value:
-            supports.append(complement)
-    return BestSupportResult(player, value, tuple(supports))
+    values, den = game.contract(player, {player: strategy})
+    best = max(values)
+    supports = tuple(complement for complement, u
+                     in zip(profiles(_co_counts(game, player)), values) if u == best)
+    return BestSupportResult(player, Fraction(best, den), supports)
 
 
 def _best_complement(game: Game, profile: MixedProfile, player: int) -> tuple[Fraction, tuple]:
@@ -147,29 +120,22 @@ def berge_deficiency(game: Game, profile: MixedProfile) -> Fraction:
     return is_berge(game, profile).deficiency
 
 
-def _pure_equilibria(game: Game, key) -> list[PureProfile]:
-    # A pure profile is an equilibrium iff each player's payoff is the best
-    # among all profiles sharing `key(profile, player)`: the complement for
-    # Nash (best own deviation), the own strategy for Berge (best complement).
-    best = [{} for _ in range(game.player_count)]
-    for profile in game.pure_profiles():
-        for player, u in enumerate(game.payoff_vector(profile)):
-            table, k = best[player], key(profile, player)
-            if k not in table or u > table[k]:
-                table[k] = u
-    return [profile for profile in game.pure_profiles()
-            if all(u == best[player][key(profile, player)]
-                   for player, u in enumerate(game.payoff_vector(profile)))]
+def _pure_equilibria(game: Game, over_own: bool) -> list[PureProfile]:
+    # A pure profile is an equilibrium iff each player's payoff there is the
+    # best among all profiles sharing its complement (Nash: no better own
+    # deviation) or its own strategy (Berge: no better complement).
+    attained = [game.attains_best(player, over_own) for player in range(game.player_count)]
+    return list(itertools.compress(game.pure_profiles(), map(all, zip(*attained))))
 
 
 def enumerate_pure_nash(game: Game) -> list[PureProfile]:
     """All pure Nash equilibria, lexicographic."""
-    return _pure_equilibria(game, _drop)
+    return _pure_equilibria(game, over_own=True)
 
 
 def enumerate_pure_berge(game: Game) -> list[PureProfile]:
     """All pure Berge equilibria, lexicographic."""
-    return _pure_equilibria(game, lambda profile, player: profile[player])
+    return _pure_equilibria(game, over_own=False)
 
 
 def constant_sum(game: Game) -> Optional[Fraction]:
@@ -187,17 +153,9 @@ def constant_sum(game: Game) -> Optional[Fraction]:
 def own_payoff_independent(game: Game) -> tuple[bool, ...]:
     """Per player: is the player's payoff the same under every own strategy,
     for every fixed pure profile of the co-players?"""
-    flags = []
-    for player in range(game.player_count):
-        independent = True
-        for complement in profiles(_co_counts(game, player)):
-            values = {game.payoff(_insert(complement, player, own), player)
-                      for own in range(game.strategy_counts[player])}
-            if len(values) > 1:
-                independent = False
-                break
-        flags.append(independent)
-    return tuple(flags)
+    # It is iff every payoff is the best over the player's own strategies.
+    return tuple(all(game.attains_best(player, over_own=True))
+                 for player in range(game.player_count))
 
 
 def is_pareto_optimal_pure(game: Game, profile: Sequence[int]) -> bool:

@@ -1,9 +1,14 @@
 """Finite normal-form games with exact rational payoffs.
 
-Everything is exact: payoffs and probabilities are `fractions.Fraction`,
-so expected values, equilibrium gaps, and all comparisons are certificates,
-never approximations.  All objects are immutable after construction and all
-operations are pure functions.
+Everything is exact: payoffs and probabilities are `fractions.Fraction` at
+the API, so expected values, equilibrium gaps, and all comparisons are
+certificates, never approximations.  Inside, a game stores each player's
+payoffs once as a flat tuple of Python ints over one common denominator
+(the lcm of all payoff denominators, at most `digit_limit()` digits long),
+and mixed strategies enter as integer numerators over their own common
+denominator; the kernel then needs no gcd until a result leaves it as a
+`Fraction`.  All objects are immutable after
+construction and all operations are pure functions.
 
 Conventions: players and strategies are 0-based; a pure profile is a tuple
 of strategy indices, one per player; the payoff tensor is stored row-major
@@ -13,6 +18,9 @@ with the last player's index varying fastest.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -30,10 +38,44 @@ def profiles(counts: Sequence[int]) -> Iterator[PureProfile]:
     return itertools.product(*(range(m) for m in counts))
 
 
+def digit_limit() -> int:
+    """The most decimal digits a payoff's numerator or denominator, or the
+    common denominator of a game's payoffs, may need: the interpreter's own
+    int/str conversion limit, `sys.get_int_max_str_digits()`, or its default
+    of 4300 where that limit is switched off or the interpreter predates it."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _axis_rows(values: Sequence[int], counts: Sequence[int], axis: int) -> Iterator[list]:
+    # Split a row-major tensor of shape `counts` along `axis`: for each index
+    # of the axes before it, the `counts[axis]` slices along `axis`, each one
+    # row-major over the axes after it.
+    m = counts[axis]
+    inner = math.prod(counts[axis + 1:])
+    for base in range(0, len(values), m * inner):
+        yield [values[base + a * inner: base + (a + 1) * inner] for a in range(m)]
+
+
+def _contract_axis(values: Sequence[int], counts: Sequence[int], axis: int,
+                   weights: Sequence[int]) -> list[int]:
+    # The tensor with `axis` summed out against `weights`: the sum over `a`
+    # of weights[a] times the slice at index `a`, row-major over the other axes.
+    out = []
+    for rows in _axis_rows(values, counts, axis):
+        out.extend(sum(map(operator.mul, weights, column)) for column in zip(*rows))
+    return out
+
+
+def _numerators(strategy: "MixedStrategy") -> tuple[tuple[int, ...], int]:
+    # The probabilities as integer numerators over their common denominator.
+    den = math.lcm(*(p.denominator for p in strategy.probs))
+    return tuple(p.numerator * (den // p.denominator) for p in strategy.probs), den
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed; use Fraction, int or 'num/den'")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -130,7 +172,7 @@ class Game:
                           for i, m in enumerate(counts))
         self._names = names
 
-        payoffs = {}
+        rows = []
         for profile in profiles(counts):
             try:
                 vec = table[profile]
@@ -139,11 +181,27 @@ class Game:
             vec = tuple(_as_fraction(u) for u in vec)
             if len(vec) != n:
                 raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
-            payoffs[profile] = vec
-        if len(table) != len(payoffs):
-            extra = set(table) - set(payoffs)
+            rows.append(vec)
+        if len(table) != len(rows):
+            extra = set(table) - set(profiles(counts))
             raise ValueError(f"payoff table has entries for invalid profiles: {sorted(extra)}")
-        self._payoffs = payoffs
+        # One common denominator for all payoffs, refused before any payoff
+        # is scaled to it if it needs more than digit_limit() digits: every
+        # stored int carries it.
+        denominators = {u.denominator for vec in rows for u in vec}
+        limit = digit_limit()
+        bound = 10 ** limit
+        scale = 1
+        for d in denominators:
+            scale = math.lcm(scale, d)
+            if scale >= bound:
+                raise ValueError("the common denominator of the payoffs needs more "
+                                 f"than {limit} decimal digits")
+        factor = {d: scale // d for d in denominators}
+        self._scale = scale
+        self._tensors = tuple(tuple(u.numerator * factor[u.denominator] for u in column)
+                              for column in zip(*rows))
+        self._strides = tuple(math.prod(counts[j + 1:]) for j in range(n))
 
     @property
     def player_count(self) -> int:
@@ -178,31 +236,83 @@ class Game:
                 raise ValueError(f"strategy of player {j} has length {len(s)}, expected {m}")
         return profile
 
+    def _index(self, profile: Sequence[int]) -> int:
+        # The position of a pure profile in each tensor and in pure_profiles().
+        return sum(map(operator.mul, self.validate_pure(profile), self._strides))
+
     def payoff(self, profile: Sequence[int], player: int) -> Fraction:
         """The stored payoff of `player` at a pure profile."""
-        profile = self.validate_pure(profile)
+        index = self._index(profile)
         if not 0 <= player < self.player_count:
             raise ValueError(f"player {player} out of range")
-        return self._payoffs[profile][player]
+        return Fraction(self._tensors[player][index], self._scale)
 
     def payoff_vector(self, profile: Sequence[int]) -> tuple[Fraction, ...]:
-        return self._payoffs[self.validate_pure(profile)]
+        index = self._index(profile)
+        return tuple(Fraction(values[index], self._scale) for values in self._tensors)
+
+    def contract(self, player: int, strategies) -> tuple[list[int], int]:
+        """The player's payoff tensor with the axes in `strategies` (a mapping
+        from player to MixedStrategy) summed out against those strategies:
+        the int values over the remaining axes, in the lexicographic order of
+        their pure profiles, and the common denominator they are over.
+        Callers validate the strategies."""
+        values, counts, den = self._tensors[player], list(self._counts), self._scale
+        for axis in sorted(strategies, reverse=True):
+            nums, d = _numerators(strategies[axis])
+            values = _contract_axis(values, counts, axis, nums)
+            del counts[axis]
+            den *= d
+        return values, den
+
+    def attains_best(self, player: int, over_own: bool) -> list[bool]:
+        """Per pure profile, in `pure_profiles()` order: is the player's payoff
+        there the best among all profiles that share its complement
+        (`over_own`: only the player's own strategy varies) or its own
+        strategy (only the co-players' strategies vary)?"""
+        values, counts = self._tensors[player], self._counts
+        blocks = list(_axis_rows(values, counts, player))
+        if over_own:
+            best = []
+            for rows in blocks:
+                best.extend([max(column) for column in zip(*rows)] * len(rows))
+        else:
+            tops = [max(max(rows[own]) for rows in blocks) for own in range(counts[player])]
+            inner = len(blocks[0][0])
+            best = [u for u in tops for _ in range(inner)] * len(blocks)
+        return list(map(operator.eq, values, best))
+
+    def grid_payoffs(self, grids: Sequence[Sequence[Sequence[int]]],
+                     resolution: int) -> tuple[int, Iterator]:
+        """Every player's expected payoff at every profile of a product grid.
+        `grids[j]` lists mixed strategies of player j as integer numerators
+        over `resolution`; callers validate them.  Returns the common
+        denominator of the payoffs and an iterator over the profiles, in
+        lexicographic order of their grid indices, of (indices, payoffs as
+        ints over that denominator).  Each player's tensor, contracted on the
+        axes of the players before a point of the walk, is shared by every
+        profile below that point."""
+        n = self.player_count
+
+        def walk(depth, tensors, indices):
+            rest = self._counts[depth:]
+            for index, point in enumerate(grids[depth]):
+                here = indices + (index,)
+                if depth < n - 1:
+                    yield from walk(depth + 1,
+                                    [_contract_axis(t, rest, 0, point) for t in tensors], here)
+                else:   # one axis left: each tensor is a vector, its contraction a dot product
+                    yield here, [sum(map(operator.mul, point, t)) for t in tensors]
+
+        return self._scale * resolution ** n, walk(0, self._tensors, ())
 
     def expected_payoff(self, profile: MixedProfile, player: int) -> Fraction:
         """Exact expected payoff of `player` under a mixed profile."""
         self.validate_profile(profile)
         if not 0 <= player < self.player_count:
             raise ValueError(f"player {player} out of range")
-        total = Fraction(0)
-        for pure in self.pure_profiles():
-            weight = Fraction(1)
-            for s, i in zip(profile.strategies, pure):
-                weight *= s.probs[i]
-                if weight == 0:
-                    break
-            if weight:
-                total += weight * self._payoffs[pure][player]
-        return total
+        (total,), den = self.contract(player, dict(enumerate(profile.strategies)))
+        return Fraction(total, den)
 
     def point(self, profile: Sequence[int]) -> MixedProfile:
         """A pure profile embedded as a profile of point distributions."""
@@ -217,7 +327,9 @@ class Game:
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
-        return (self._counts == other._counts and self._payoffs == other._payoffs)
+        # The common denominator is canonical, so equal payoffs give equal ints.
+        return (self._counts == other._counts and self._scale == other._scale
+                and self._tensors == other._tensors)
 
     def __repr__(self):
         shape = "x".join(str(m) for m in self._counts)

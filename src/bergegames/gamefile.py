@@ -19,11 +19,29 @@ import json
 import math
 from fractions import Fraction
 
-from .game import Game, profiles
+from .game import Game, digit_limit, profiles
 
 
 class GameFormatError(ValueError):
     """A game document is malformed."""
+
+
+def parse_rational_text(text: str) -> Fraction:
+    """`Fraction(text)`, refusing first, with a ValueError, a decimal whose
+    numerator or denominator would need more than `digit_limit()` digits:
+    the mantissa's digits plus the exponent's magnitude, so that "1e2000000"
+    costs no big-integer work.  Without an exponent, `Fraction` meets the
+    interpreter's own limit itself, and `Game` bounds the common
+    denominator."""
+    if "e" in text or "E" in text:
+        limit = digit_limit()
+        mantissa, _, exponent = text.lower().partition("e")
+        magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if magnitude.isdigit() and (
+                len(magnitude) > len(str(limit))
+                or sum(c.isdigit() for c in mantissa) + int(magnitude) > limit):
+            raise ValueError(f"{text[:40]!r} needs more than {limit} decimal digits")
+    return Fraction(text)
 
 
 def _parse_rational(value, where: str) -> Fraction:
@@ -36,7 +54,7 @@ def _parse_rational(value, where: str) -> Fraction:
                               "use an integer or a 'num/den' string")
     if isinstance(value, str):
         try:
-            frac = Fraction(value)
+            frac = parse_rational_text(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFormatError(f"{where}: malformed rational {value!r} ({exc})") from None
         return frac
@@ -96,7 +114,10 @@ def parse_game(text: str) -> Game:
         missing = itertools.islice((p for p in profiles(counts) if p not in table), 5)
         raise GameFormatError(f"expected {expected} payoff records, got {len(table)}; "
                               f"missing profiles: {[list(p) for p in missing]}")
-    return Game(counts, table, names)
+    try:
+        return Game(counts, table, names)
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from None
 
 
 def load_game(path) -> Game:

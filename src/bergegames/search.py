@@ -247,9 +247,8 @@ def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
     return ExistenceCertificate(False, None, graphs, conflict)
 
 
-def simplex_grid(size: int, resolution: int) -> Iterator[tuple[Fraction, ...]]:
-    """All probability vectors of length `size` whose entries are multiples
-    of 1/resolution, lexicographic."""
+def _grid_numerators(size: int, resolution: int) -> Iterator[tuple[int, ...]]:
+    # Numerators over `resolution` of the simplex grid, lexicographic.
     for cuts in itertools.combinations(range(resolution + size - 1), size - 1):
         prev = -1
         parts = []
@@ -257,6 +256,13 @@ def simplex_grid(size: int, resolution: int) -> Iterator[tuple[Fraction, ...]]:
             parts.append(c - prev - 1)
             prev = c
         parts.append(resolution + size - 2 - prev)
+        yield tuple(parts)
+
+
+def simplex_grid(size: int, resolution: int) -> Iterator[tuple[Fraction, ...]]:
+    """All probability vectors of length `size` whose entries are multiples
+    of 1/resolution, lexicographic."""
+    for parts in _grid_numerators(size, resolution):
         yield tuple(Fraction(p, resolution) for p in parts)
 
 
@@ -270,16 +276,26 @@ def grid_search_min_deficiency(game: Game, resolution: int,
         raise ValueError("resolution must be a positive integer")
     if top < 1:
         raise ValueError("top must be a positive integer")
-    per_player = [math.comb(resolution + m - 1, m - 1) for m in game.strategy_counts]
-    total = math.prod(per_player)
+    counts, n, k = game.strategy_counts, game.player_count, resolution
+    grids = [list(_grid_numerators(m, k)) for m in counts]
+    total = math.prod(map(len, grids))
     if total > 10**7:
         warnings.warn(f"grid has {total} points; this will be slow", RuntimeWarning)
 
-    def entries():
-        grids = [list(simplex_grid(m, resolution)) for m in game.strategy_counts]
-        for combo in itertools.product(*grids):
-            profile = MixedProfile(tuple(MixedStrategy(probs) for probs in combo))
-            yield equilibria.berge_deficiency(game, profile), combo, profile
+    def strategy(j, index):
+        return MixedStrategy(tuple(Fraction(a, k) for a in grids[j][index]))
 
-    best = heapq.nsmallest(top, entries(), key=lambda e: (e[0], e[1]))
-    return [(profile, deficiency) for deficiency, _, profile in best]
+    # Payoffs and gaps are integers over `unit`.  Player i's best-support
+    # value depends on their own grid point alone, so it is computed once per
+    # point; its denominator divides `unit`, so it lifts to an int exactly.
+    unit, walk = game.grid_payoffs(grids, k)
+    tops = [[(equilibria.best_support(game, i, strategy(i, index)).value * unit).numerator
+             for index in range(len(grids[i]))]
+            for i in range(n)]
+    gaps = ((max(tops[i][index] - u for i, (index, u) in enumerate(zip(indices, payoffs))),
+             indices)
+            for indices, payoffs in walk)
+    # Grid indices order the profiles as their probability vectors do.
+    return [(MixedProfile(tuple(strategy(j, index) for j, index in enumerate(indices))),
+             Fraction(gap, unit))
+            for gap, indices in heapq.nsmallest(top, gaps)]

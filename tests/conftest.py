@@ -49,6 +49,16 @@ def random_game(rng: random.Random, players=None, max_strats=3, lo=-3, hi=3) -> 
     return Game(counts, table)
 
 
+def random_rational_table(rng: random.Random, players: int, max_strats=3, max_den=12):
+    """Strategy counts and a payoff table of rationals num/den, num in
+    [-12, 12] and den in [1, max_den], so denominators are mixed."""
+    counts = tuple(rng.randint(1, max_strats) for _ in range(players))
+    table = {p: tuple(Fraction(rng.randint(-12, 12), rng.randint(1, max_den))
+                      for _ in range(players))
+             for p in itertools.product(*(range(m) for m in counts))}
+    return counts, table
+
+
 # ---------------------------------------------------------------------------
 # Independent brute-force oracles: direct evaluation of the defining
 # inequalities at pure profiles, using only Game.payoff.  These never go

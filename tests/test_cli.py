@@ -94,6 +94,12 @@ class TestCheck:
         assert code == 3
         assert "deficiency: 112345678901234567890123/100000000000000000000000" in out
 
+    def test_oversized_decimal_rejected(self, capsys, pd_file):
+        spec = "[[1e2000000, 0],[1,0]]"
+        code, _, err = run(capsys, "check", pd_file, "--profile", spec, "--kind", "nash")
+        assert code == 1
+        assert "decimal digits" in err
+
     def test_bad_profile_spec(self, capsys, eq5_file):
         code, _, err = run(capsys, "check", eq5_file,
                            "--profile", '[["1/2","1/3"]]', "--kind", "nash")

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import Game, MixedProfile, MixedStrategy
+from bergegames import Game, MixedProfile, MixedStrategy, parse_game, serialize_game
+from bergegames.game import digit_limit
 
-from conftest import oracle_expected_payoff, random_profile, random_strategy, random_game
+from conftest import (oracle_expected_payoff, random_profile, random_rational_table,
+                      random_strategy, random_game)
 
 
 def half():
@@ -37,6 +39,15 @@ class TestConstruction:
     def test_game_rejects_wrong_vector_length(self):
         with pytest.raises(ValueError):
             Game((2,), {(0,): (1, 2), (1,): (0, 0)})
+
+    def test_common_denominator_capped(self):
+        # The lcm of the payoff denominators may need at most digit_limit()
+        # digits: 10**(limit - 1) has exactly that many, 10**limit one more.
+        limit = digit_limit()
+        g = Game((2,), {(0,): (Fraction(1, 10 ** (limit - 1)),), (1,): (1,)})
+        assert g.payoff((0,), 0) == Fraction(1, 10 ** (limit - 1))
+        with pytest.raises(ValueError, match="common denominator"):
+            Game((2,), {(0,): (Fraction(1, 10 ** limit),), (1,): (1,)})
 
     def test_degenerate_game_ok(self):
         g = Game((1,), {(0,): (0,)})
@@ -89,6 +100,19 @@ class TestExpectedPayoff:
             profile = random_profile(rng, g)
             for i in range(g.player_count):
                 assert g.expected_payoff(profile, i) == oracle_expected_payoff(g, profile, i)
+        # Negative rationals with mixed denominators: the payoffs are stored
+        # as ints over their lcm, and must come back as the exact inputs.
+        for _ in range(30):
+            counts, table = random_rational_table(rng, rng.randint(1, 3))
+            g = Game(counts, table)
+            profile = random_profile(rng, g)
+            for i in range(g.player_count):
+                assert g.expected_payoff(profile, i) == oracle_expected_payoff(g, profile, i)
+            for pure, vec in table.items():
+                assert g.payoff_vector(pure) == vec
+                assert all(type(u) is Fraction for u in g.payoff_vector(pure))
+                assert [g.payoff(pure, i) for i in range(len(vec))] == list(vec)
+            assert parse_game(serialize_game(g)) == g
 
     def test_pure_consistency_random_games(self):
         rng = random.Random(11)

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -9,11 +11,26 @@ import pytest
 from bergegames import (BUILTIN_NAMES, GameFormatError, builtin, builtin_game,
                         parse_game, serialize_game)
 
+from bergegames.game import digit_limit
+
 from conftest import random_game
 
 
 def _eq5_doc():
     return json.loads(builtin("eq5"))
+
+
+def _reciprocal_primes_doc(distinct):
+    # A 5x5x5x5 document whose 2,500 payoffs are 1/p, cycling through the
+    # first `distinct` primes above 1000.
+    sieve = [True] * 40000
+    for p in range(2, 200):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    dens = itertools.cycle([p for p in range(1001, len(sieve)) if sieve[p]][:distinct])
+    return {"players": 4, "strategies": [["a", "b", "c", "d", "e"]] * 4,
+            "payoffs": [{"profile": list(profile), "u": [f"1/{next(dens)}" for _ in range(4)]}
+                        for profile in itertools.product(range(5), repeat=4)]}
 
 
 class TestParse:
@@ -60,6 +77,40 @@ class TestParse:
         doc["payoffs"][3]["u"][1] = "2/0"
         with pytest.raises(GameFormatError, match=r"profile \[0, 1, 1\], player 2"):
             parse_game(json.dumps(doc))
+
+    def test_oversized_rational_rejected_quickly(self):
+        doc = _eq5_doc()
+        doc["payoffs"][0]["u"][0] = "1e2000000"
+        start = time.perf_counter()
+        with pytest.raises(GameFormatError, match="decimal digits"):
+            parse_game(json.dumps(doc))
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("limit", ["off", "missing"])
+    def test_size_caps_hold_without_interpreter_limit(self, monkeypatch, limit):
+        if limit == "off":
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        else:
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert digit_limit() == 4300
+        doc = _eq5_doc()
+        doc["payoffs"][0]["u"][0] = "1e2000000"
+        with pytest.raises(GameFormatError, match="decimal digits"):
+            parse_game(json.dumps(doc))
+
+    def test_oversized_common_denominator_rejected(self):
+        # Each payoff is small, but the lcm of 2,500 distinct primes needs
+        # about 10,000 digits, and every stored payoff would carry it.
+        text = json.dumps(_reciprocal_primes_doc(2500))
+        start = time.perf_counter()
+        with pytest.raises(GameFormatError, match="common denominator"):
+            parse_game(text)
+        assert time.perf_counter() - start < 1
+        # 300 distinct primes need about 1,100 digits: accepted, exact.
+        doc = _reciprocal_primes_doc(300)
+        g = parse_game(json.dumps(doc))
+        rec = doc["payoffs"][-1]
+        assert g.payoff_vector(rec["profile"]) == tuple(Fraction(u) for u in rec["u"])
 
     def test_float_payoff_rejected(self):
         doc = _eq5_doc()

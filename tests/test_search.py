@@ -1,16 +1,19 @@
+import heapq
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bergegames import (BilinearForm, FaceSet, Game, UnsupportedGameError,
-                        berge_deficiency, best_support, best_support_graph_222,
-                        bilinear_argmax, decide_berge_existence_oi222,
-                        enumerate_pure_berge, grid_search_min_deficiency,
-                        is_berge, simplex_grid)
+from bergegames import (BilinearForm, FaceSet, Game, MixedProfile, MixedStrategy,
+                        UnsupportedGameError, berge_deficiency, best_support,
+                        best_support_graph_222, bilinear_argmax,
+                        decide_berge_existence_oi222, enumerate_pure_berge, equilibria,
+                        grid_search_min_deficiency, is_berge, simplex_grid)
 from bergegames.search import face_contains, meet_faces
 
-from conftest import random_game
+from conftest import random_game, random_rational_table
 
 
 def F(x, y=1):
@@ -177,3 +180,48 @@ class TestGridSearch:
                 point = g.point(pure)
                 key = tuple(tuple(s.probs) for s in point.strategies)
                 assert key in zero_profiles
+
+
+def _reference_grid(game, resolution, top):
+    # The grid search written directly: berge_deficiency at every profile of
+    # the simplex grid, ranked by (deficiency, probabilities).
+    grids = [list(simplex_grid(m, resolution)) for m in game.strategy_counts]
+    entries = []
+    for combo in itertools.product(*grids):
+        profile = MixedProfile(tuple(MixedStrategy(probs) for probs in combo))
+        entries.append((berge_deficiency(game, profile), combo, profile))
+    best = heapq.nsmallest(top, entries, key=lambda e: (e[0], e[1]))
+    return [(profile, deficiency) for deficiency, _, profile in best]
+
+
+class TestGridFastPath:
+    def test_matches_reference_on_random_rational_games(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            counts, table = random_rational_table(rng, rng.randint(1, 3))
+            game = Game(counts, table)
+            resolution = rng.randint(1, 3)
+            everything = 10**6
+            assert (grid_search_min_deficiency(game, resolution, top=everything)
+                    == _reference_grid(game, resolution, everything))
+
+    def test_best_support_values_hoisted(self, eq5, monkeypatch):
+        expected = _reference_grid(eq5, 4, 10)
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(equilibria, "best_support")
+        counted(equilibria, "is_berge")
+        counted(Game, "expected_payoff")
+        assert grid_search_min_deficiency(eq5, 4) == expected
+        own_points = sum(len(list(simplex_grid(m, 4))) for m in eq5.strategy_counts)
+        assert calls["best_support"] <= own_points
+        assert calls["is_berge"] == 0
+        assert calls["expected_payoff"] == 0
