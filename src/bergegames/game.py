@@ -108,9 +108,6 @@ class MixedStrategy:
     def uniform(cls, size: int) -> "MixedStrategy":
         return cls((Fraction(1, size),) * size)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
-
 
 @dataclass(frozen=True)
 class MixedProfile:

@@ -75,7 +75,7 @@ def parse_game(text: str) -> Game:
             raise GameFormatError(f"missing member {key!r}")
 
     n = doc["players"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GameFormatError("'players' must be a positive integer")
     names = doc["strategies"]
     if (not isinstance(names, list) or len(names) != n

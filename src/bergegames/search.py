@@ -1,14 +1,15 @@
 """Mixed-strategy Berge existence for own-payoff-independent 2x2x2 games,
 plus an exact grid search over simplex grids for general small games.
 
-For a 2x2x2 game in which no player can influence their own payoff, player
-i's expected payoff is a single bilinear form in the two co-players'
-first-strategy probabilities.  The graph of the best-support correspondence
-is then (own coordinate free) x (argmax faces of that form), a union of
-axis-aligned faces of the unit cube.  A Berge equilibrium exists iff the
-three graphs intersect; the intersection is computed exactly by
-coordinate-wise meets, and a nonempty meet yields a witness that is
-re-verified, while an empty one yields a coordinate conflict certificate.
+In a 2x2x2 game in which no player can influence their own payoff, player
+i's expected payoff is multilinear in the co-players' probabilities alone,
+so its maximizers over the cube form the union of the faces all of whose
+vertices are pure profiles where player i's payoff is their best.  The graph of player i's
+best-support correspondence is therefore spanned by those best pure
+profiles, and the meet of the three graphs by the pure Berge equilibria: a
+mixed profile is Berge exactly when every pure profile of its support box is.
+A nonempty meet yields a witness that is re-verified, while an empty one
+yields a coordinate conflict certificate where the graphs force one.
 """
 
 from __future__ import annotations
@@ -37,20 +38,6 @@ def face_contains(outer: Face, inner: Face) -> bool:
     return all(o is None or o == i for o, i in zip(outer, inner))
 
 
-def meet_faces(f: Face, g: Face) -> Optional[Face]:
-    """Coordinate-wise intersection; None when some coordinate is fixed to
-    0 in one face and 1 in the other."""
-    out = []
-    for a, b in zip(f, g):
-        if a is None:
-            out.append(b)
-        elif b is None or a == b:
-            out.append(a)
-        else:
-            return None
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FaceSet:
     """A deduplicated union of faces of [0,1]^dim; faces contained in other
@@ -72,16 +59,6 @@ class FaceSet:
 
     def __bool__(self):
         return bool(self.faces)
-
-    def intersect(self, other: "FaceSet") -> "FaceSet":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        met = set()
-        for f, g in itertools.product(self.faces, other.faces):
-            m = meet_faces(f, g)
-            if m is not None:
-                met.add(m)
-        return FaceSet(self.dim, frozenset(met))
 
     def forced_value(self, coordinate: int) -> Optional[int]:
         """The value every face of the set fixes `coordinate` to, if any."""
@@ -108,65 +85,6 @@ class FaceSet:
         return sorted(self.faces, key=lambda f: tuple(2 if c is None else c for c in f))
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """f(q, r) = a*q*r + b*q + c*r + d over the unit square."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __call__(self, q, r) -> Fraction:
-        return self.a * q * r + self.b * q + self.c * r + self.d
-
-
-def bilinear_argmax(form: BilinearForm) -> tuple[FaceSet, Fraction]:
-    """All maximizers of a bilinear form over [0,1]^2, as a FaceSet.
-
-    A bilinear function is linear along every axis-parallel segment, so its
-    maximum over the square is attained at a corner, a whole edge attains it
-    iff both endpoints do, and the full square only when f is constant
-    (which all four corners being equal already forces).
-    """
-    corners = {(0, 0): form.d,
-               (0, 1): form.c + form.d,
-               (1, 0): form.b + form.d,
-               (1, 1): form.a + form.b + form.c + form.d}
-    best = max(corners.values())
-    attaining = {c for c, v in corners.items() if v == best}
-    faces: set[Face] = set(attaining)
-    for fixed_axis in (0, 1):
-        for fixed_val in (0, 1):
-            ends = [c for c in corners if c[fixed_axis] == fixed_val]
-            if all(e in attaining for e in ends):
-                edge = [None, None]
-                edge[fixed_axis] = fixed_val
-                faces.add(tuple(edge))
-    if len(attaining) == 4 and form.a == 0:
-        faces.add((None, None))
-    return FaceSet(2, frozenset(faces)), best
-
-
-def _co_payoff_form(game: Game, player: int) -> BilinearForm:
-    # Player's expected payoff as a bilinear form in the co-players'
-    # first-strategy probabilities (own index pinned to 0: it is irrelevant
-    # under own-payoff independence).
-    j, k = [p for p in range(3) if p != player]
-
-    def u(cj, ck):
-        profile = [0, 0, 0]
-        profile[j], profile[k] = cj, ck
-        return game.payoff(tuple(profile), player)
-
-    # x_j, x_k are probabilities of strategy 0; corner (1,1) is (0,0) in indices.
-    d = u(1, 1)
-    b = u(0, 1) - d
-    c = u(1, 0) - d
-    a = u(0, 0) - u(0, 1) - u(1, 0) + u(1, 1)
-    return BilinearForm(a, b, c, d)
-
-
 def _require_oi222(game: Game):
     if game.strategy_counts != (2, 2, 2):
         raise UnsupportedGameError(
@@ -178,23 +96,34 @@ def _require_oi222(game: Game):
                 f"player {player + 1} can influence their own payoff")
 
 
+# Every face of the cube with its vertices as pure profiles, larger faces
+# first: coordinate 1 is strategy index 0, coordinate 0 is index 1, and a
+# free coordinate takes both.
+_CUBE_FACES = tuple(
+    (face, tuple(itertools.product(*((0, 1) if c is None else (1 - c,) for c in face))))
+    for face in sorted(itertools.product((0, 1, None), repeat=3),
+                       key=lambda f: -f.count(None)))
+
+
+def _faces_within(pure: set) -> FaceSet:
+    # The faces of the cube whose vertices are all in `pure`.  Faces inside
+    # one already taken are skipped here, so FaceSet has few left to prune.
+    faces = []
+    for face, vertices in _CUBE_FACES:
+        if pure.issuperset(vertices) and not any(face_contains(f, face) for f in faces):
+            faces.append(face)
+    return FaceSet(3, frozenset(faces))
+
+
 def best_support_graph_222(game: Game) -> tuple[FaceSet, FaceSet, FaceSet]:
     """Per player, the graph of the best-support correspondence as a union
     of faces of the cube, coordinates being each player's first-strategy
-    probability."""
+    probability: the faces spanned by the pure profiles where the player's
+    payoff is their best."""
     _require_oi222(game)
-    graphs = []
-    for player in range(3):
-        argmax, _ = bilinear_argmax(_co_payoff_form(game, player))
-        co_axes = [p for p in range(3) if p != player]
-        embedded = set()
-        for face in argmax.faces:
-            cube: list[Optional[int]] = [None, None, None]
-            for axis, c in zip(co_axes, face):
-                cube[axis] = c
-            embedded.add(tuple(cube))
-        graphs.append(FaceSet(3, frozenset(embedded)))
-    return tuple(graphs)
+    return tuple(_faces_within(set(itertools.compress(
+                     game.pure_profiles(), game.attains_best(player, over_own=False))))
+                 for player in range(3))
 
 
 @dataclass(frozen=True)
@@ -227,9 +156,9 @@ def _witness_from_face(face: Face) -> MixedProfile:
 def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
     """Exact existence decision for own-payoff-independent 2x2x2 games:
     Berge equilibria are precisely the points common to the three
-    best-support graphs."""
+    best-support graphs, the faces spanned by the pure Berge equilibria."""
     graphs = best_support_graph_222(game)
-    meet = graphs[0].intersect(graphs[1]).intersect(graphs[2])
+    meet = _faces_within(set(equilibria.enumerate_pure_berge(game)))
     if meet:
         face = meet.sorted_faces()[0]
         witness = _witness_from_face(face)

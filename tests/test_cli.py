@@ -193,3 +193,13 @@ class TestErrors:
         code, _, err = run(capsys, "info", str(path))
         assert code == 1
         assert "bad game document" in err
+
+    def test_boolean_players_header(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"players": True, "strategies": [["a", "b"]],
+                                    "payoffs": [{"profile": [0], "u": [1]},
+                                                {"profile": [1], "u": [2]}]}))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 1
+        assert out == ""
+        assert "'players'" in err

@@ -122,6 +122,16 @@ class TestParse:
         with pytest.raises(GameFormatError, match="JSON"):
             parse_game("not json at all {")
 
+    def test_boolean_players_rejected(self):
+        # json reads `true` as a bool, which is an int; the header must not
+        # count it as one player.
+        doc = {"players": True, "strategies": [["a", "b"]],
+               "payoffs": [{"profile": [0], "u": [1]}, {"profile": [1], "u": [2]}]}
+        with pytest.raises(GameFormatError, match="'players'"):
+            parse_game(json.dumps(doc))
+        doc["players"] = 1
+        assert parse_game(json.dumps(doc)).player_count == 1
+
     def test_index_out_of_range(self):
         doc = _eq5_doc()
         doc["payoffs"][0]["profile"] = [0, 0, 2]

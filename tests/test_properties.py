@@ -1,0 +1,93 @@
+"""Property tests over small random rational games, drawn by Hypothesis."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from bergegames import (Game, MixedProfile, MixedStrategy, is_berge, is_nash,
+                        parse_game, serialize_game, swap_payoffs_2p)
+
+from conftest import oracle_expected_payoff
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80, database=None)
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def games(draw, players=st.integers(1, 3)):
+    counts = tuple(draw(st.integers(1, 3)) for _ in range(draw(players)))
+    n = len(counts)
+    table = {p: tuple(draw(rationals) for _ in range(n))
+             for p in itertools.product(*(range(m) for m in counts))}
+    return Game(counts, table)
+
+
+@st.composite
+def games_with_profiles(draw, players=st.integers(1, 3)):
+    game = draw(games(players))
+    strategies = []
+    for m in game.strategy_counts:
+        weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                       .filter(any))
+        strategies.append(MixedStrategy(tuple(Fraction(w, sum(weights)) for w in weights)))
+    return game, MixedProfile(tuple(strategies))
+
+
+def _with(profile, player, strategy):
+    return profile.replace(player, MixedStrategy.point(strategy, len(profile[player])))
+
+
+def oracle_deficiency(game, profile, kind):
+    # The largest gain over the realized payoff from a pure own deviation
+    # (Nash) or a pure complement (Berge), from the plain weighted sum.
+    gaps = []
+    for i, m in enumerate(game.strategy_counts):
+        realized = oracle_expected_payoff(game, profile, i)
+        if kind == "nash":
+            moves = [_with(profile, i, s) for s in range(m)]
+        else:
+            co = [j for j in range(game.player_count) if j != i]
+            moves = []
+            for complement in itertools.product(*(range(game.strategy_counts[j]) for j in co)):
+                moved = profile
+                for j, s in zip(co, complement):
+                    moved = _with(moved, j, s)
+                moves.append(moved)
+        gaps.append(max(oracle_expected_payoff(game, q, i) for q in moves) - realized)
+    return max(max(gaps), Fraction(0))
+
+
+@PROPERTY
+@given(games())
+def test_serialize_parse_round_trip(game):
+    assert parse_game(serialize_game(game)) == game
+
+
+@PROPERTY
+@given(games_with_profiles())
+def test_nash_verdict_matches_oracle(case):
+    game, profile = case
+    verdict = is_nash(game, profile)
+    assert verdict.deficiency >= 0
+    assert verdict.is_equilibrium == (verdict.deficiency == 0)
+    assert verdict.deficiency == oracle_deficiency(game, profile, "nash")
+
+
+@PROPERTY
+@given(games_with_profiles())
+def test_berge_verdict_matches_oracle(case):
+    game, profile = case
+    verdict = is_berge(game, profile)
+    assert verdict.deficiency >= 0
+    assert verdict.is_equilibrium == (verdict.deficiency == 0)
+    assert verdict.deficiency == oracle_deficiency(game, profile, "berge")
+
+
+@PROPERTY
+@given(games_with_profiles(players=st.just(2)))
+def test_berge_is_nash_of_swapped_game(case):
+    # Player i's Berge gap is the co-player's Nash gap once payoffs swap.
+    game, profile = case
+    assert is_berge(game, profile).deficiency == is_nash(swap_payoffs_2p(game), profile).deficiency

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import (BilinearForm, FaceSet, Game, MixedProfile, MixedStrategy,
+from bergegames import (FaceSet, Game, MixedProfile, MixedStrategy,
                         UnsupportedGameError, berge_deficiency, best_support,
-                        best_support_graph_222, bilinear_argmax,
-                        decide_berge_existence_oi222, enumerate_pure_berge, equilibria,
-                        grid_search_min_deficiency, is_berge, simplex_grid)
-from bergegames.search import face_contains, meet_faces
+                        best_support_graph_222, decide_berge_existence_oi222,
+                        enumerate_pure_berge, equilibria, grid_search_min_deficiency,
+                        is_berge, simplex_grid)
+from bergegames.search import face_contains
 
 from conftest import random_game, random_rational_table
 
@@ -21,11 +21,6 @@ def F(x, y=1):
 
 
 class TestFaces:
-    def test_meet(self):
-        assert meet_faces((None, 1, 1), (1, None, 1)) == (1, 1, 1)
-        assert meet_faces((None, 1, 1), (1, None, 0)) is None
-        assert meet_faces((None, None, None), (0, 1, None)) == (0, 1, None)
-
     def test_contains(self):
         assert face_contains((None, 1, None), (0, 1, 1))
         assert not face_contains((0, 1, 1), (None, 1, None))
@@ -34,45 +29,38 @@ class TestFaces:
         fs = FaceSet(2, frozenset([(1, 1), (1, None), (None, None)]))
         assert fs.faces == frozenset([(None, None)])
 
-    def test_intersect_empty(self):
-        a = FaceSet(3, frozenset([(None, 1, 1)]))
-        b = FaceSet(3, frozenset([(0, 0, None)]))
-        assert not a.intersect(b)
+
+def _oi_game(forms):
+    # The 2x2x2 game in which player i's payoff is forms[i](x, y), x and y
+    # being the first-strategy indicators of the co-players in player order.
+    table = {}
+    for p in itertools.product((0, 1), repeat=3):
+        table[p] = tuple(form(*(int(p[j] == 0) for j in range(3) if j != i))
+                         for i, form in enumerate(forms))
+    return Game((2, 2, 2), table)
 
 
-class TestBilinearArgmax:
-    def test_sum_form(self):
-        fs, value = bilinear_argmax(BilinearForm(F(0), F(1), F(1), F(0)))
-        assert value == 2
-        assert fs.faces == frozenset([(1, 1)])
-
-    def test_q_only(self):
-        fs, value = bilinear_argmax(BilinearForm(F(0), F(1), F(0), F(0)))
-        assert value == 1
-        assert fs.faces == frozenset([(1, None)])
-
-    def test_saddle(self):
-        fs, value = bilinear_argmax(BilinearForm(F(1), F(-1), F(-1), F(0)))
-        assert value == 0
-        assert fs.faces == frozenset([(0, 0)])
-
-    def test_constant(self):
-        fs, value = bilinear_argmax(BilinearForm(F(0), F(0), F(0), F(5)))
-        assert value == 5
-        assert fs.faces == frozenset([(None, None)])
-
-    def test_soundness_on_random_forms(self):
-        rng = random.Random(61)
-        for _ in range(60):
-            form = BilinearForm(*(Fraction(rng.randint(-4, 4)) for _ in range(4)))
-            fs, value = bilinear_argmax(form)
-            for corner in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                assert form(*corner) <= value
-            for point in fs.sample_points(F(1, 4)):
-                assert form(*point) == value
+def _bilinear(a, b, c, d):
+    # f(q, r) = a*q*r + b*q + c*r + d at the corners of the unit square.
+    return lambda q, r: a * q * r + b * q + c * r + d
 
 
 class TestBestSupportGraph:
+    @pytest.mark.parametrize("form, value, faces", [
+        (_bilinear(0, 1, 1, 0), 2, [(None, 1, 1)]),
+        (_bilinear(0, 1, 0, 0), 1, [(None, 1, None)]),
+        (_bilinear(1, -1, -1, 0), 0, [(None, 0, 0)]),
+        (_bilinear(0, 0, 0, 5), 5, [(None, None, None)]),
+    ], ids=["sum", "q_only", "saddle", "constant"])
+    def test_player1_faces_of_form(self, form, value, faces):
+        # Player 1's payoff at the co-player corners is the bilinear form in
+        # (q, r), the first-strategy probabilities of players 2 and 3.
+        game = _oi_game([form, _bilinear(0, 0, 0, 0), _bilinear(0, 0, 0, 0)])
+        graph = best_support_graph_222(game)[0]
+        assert graph.faces == frozenset(faces)
+        for own in (MixedStrategy((1, 0)), MixedStrategy((F(1, 3), F(2, 3)))):
+            assert best_support(game, 0, own).value == value
+
     def test_eq5_edges(self, eq5):
         g1, g2, g3 = best_support_graph_222(eq5)
         assert g1.faces == frozenset([(None, 1, 1)])
@@ -132,6 +120,36 @@ class TestDecideExistence:
         cert = decide_berge_existence_oi222(zero222)
         assert cert.exists
         assert is_berge(zero222, cert.witness).is_equilibrium
+
+
+def _on_face(face, point):
+    return all(c is None or c == x for c, x in zip(face, point))
+
+
+class TestRandomOIGames:
+    def test_graphs_and_decision_match_direct_checks(self):
+        # Checked against best_support, expected_payoff and berge_deficiency
+        # at the 27 points of {0, 1/2, 1}^3, never against the face code.
+        # Small payoffs make ties common.
+        rng = random.Random(89)
+        points = list(itertools.product((F(0), F(1, 2), F(1)), repeat=3))
+        for _ in range(200):
+            corners = [{c: F(rng.choice((-1, 0, 1)), rng.choice((1, 2)))
+                        for c in itertools.product((0, 1), repeat=2)} for _ in range(3)]
+            game = _oi_game([lambda x, y, t=t: t[x, y] for t in corners])
+            graphs = best_support_graph_222(game)
+            for point in points:
+                profile = _profile_from_coords(point)
+                for i, fs in enumerate(graphs):
+                    best = best_support(game, i, profile[i]).value
+                    on_graph = any(_on_face(face, point) for face in fs.faces)
+                    assert on_graph == (game.expected_payoff(profile, i) == best)
+            cert = decide_berge_existence_oi222(game)
+            assert cert.exists == bool(enumerate_pure_berge(game))
+            assert cert.exists == any(berge_deficiency(game, _profile_from_coords(point)) == 0
+                                      for point in points)
+            if cert.exists:
+                assert berge_deficiency(game, cert.witness) == 0
 
 
 class TestGridSearch:
