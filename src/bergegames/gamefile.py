@@ -44,6 +44,11 @@ def parse_rational_text(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _clip(text: str) -> str:
+    # An echo of outside input in an error message, cut to a short prefix.
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise GameFormatError(f"{where}: boolean is not a rational")
@@ -56,9 +61,10 @@ def _parse_rational(value, where: str) -> Fraction:
         try:
             frac = parse_rational_text(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"{where}: malformed rational {value!r} ({exc})") from None
+            raise GameFormatError(f"{where}: malformed rational {_clip(repr(value))} "
+                                  f"({_clip(str(exc))})") from None
         return frac
-    raise GameFormatError(f"{where}: cannot read a rational from {value!r}")
+    raise GameFormatError(f"{where}: cannot read a rational from {_clip(repr(value))}")
 
 
 def parse_game(text: str) -> Game:
@@ -85,29 +91,39 @@ def parse_game(text: str) -> Game:
     counts = tuple(len(ns) for ns in names)
 
     records = doc["payoffs"]
-    if not isinstance(records, list):
+    if type(records) is not list:
         raise GameFormatError("'payoffs' must be a list of records")
+    int_profile = (int,) * n
+    ranges = [range(m) for m in counts]
+    # Each distinct payoff is parsed once.  The key holds the type, since
+    # 1 == True == 1.0 hash alike, and only a value that parsed is stored.
+    values = {}
     table = {}
     for rec in records:
-        if not isinstance(rec, dict) or "profile" not in rec or "u" not in rec:
-            raise GameFormatError(f"payoff record {rec!r} needs 'profile' and 'u'")
+        if type(rec) is not dict or "profile" not in rec or "u" not in rec:
+            raise GameFormatError(f"payoff record {_clip(repr(rec))} needs 'profile' and 'u'")
         raw = rec["profile"]
-        if (not isinstance(raw, list) or len(raw) != n
-                or any(not isinstance(i, int) or isinstance(i, bool) for i in raw)):
-            raise GameFormatError(f"profile {raw!r} must be {n} integer indices")
+        if type(raw) is not list or tuple(map(type, raw)) != int_profile:
+            raise GameFormatError(f"profile {_clip(repr(raw))} must be {n} integer indices")
         profile = tuple(raw)
-        for j, (i, m) in enumerate(zip(profile, counts)):
-            if not 0 <= i < m:
-                raise GameFormatError(f"profile {list(profile)}: index {i} of player "
-                                      f"{j + 1} out of range [0, {m})")
+        if not all(map(range.__contains__, ranges, profile)):
+            j = next(j for j, i in enumerate(profile) if i not in ranges[j])
+            raise GameFormatError(f"profile {raw}: index {raw[j]} of player "
+                                  f"{j + 1} out of range [0, {counts[j]})")
         if profile in table:
-            raise GameFormatError(f"duplicate payoff record for profile {list(profile)}")
+            raise GameFormatError(f"duplicate payoff record for profile {raw}")
         u = rec["u"]
-        if not isinstance(u, list) or len(u) != n:
-            raise GameFormatError(f"profile {list(profile)}: 'u' must have {n} entries")
-        table[profile] = tuple(
-            _parse_rational(v, f"profile {list(profile)}, player {j + 1}")
-            for j, v in enumerate(u))
+        if type(u) is not list or len(u) != n:
+            raise GameFormatError(f"profile {raw}: 'u' must have {n} entries")
+        try:
+            table[profile] = tuple([values[type(v), v] for v in u])
+        except (KeyError, TypeError):
+            # A value not seen yet: parse the entries in order, so the first
+            # bad one is reported.  Only ints and strings parse; both hash.
+            for j, v in enumerate(u):
+                if type(v) not in (int, str) or (type(v), v) not in values:
+                    values[type(v), v] = _parse_rational(v, f"profile {raw}, player {j + 1}")
+            table[profile] = tuple([values[type(v), v] for v in u])
 
     expected = math.prod(counts)
     if len(table) != expected:

@@ -203,3 +203,21 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert "'players'" in err
+
+    @pytest.mark.parametrize("record", [
+        {"profile": [0, 0], "u": ["1/" + "x" * 200_000, 0]},
+        {"profile": [0, 0], "u": [["1"] * 50_000, 0]},
+        {"profile": [0, 0], "v": "x" * 200_000},
+        {"profile": [0] * 50_000, "u": [0, 0]},
+    ], ids=["malformed-rational", "not-a-rational", "record", "profile"])
+    def test_bad_input_echoed_short(self, capsys, tmp_path, record):
+        # The message shows a prefix of a huge bad entry, and still says where it is.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"players": 2, "strategies": [["a"], ["b"]],
+                                    "payoffs": [record]}))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err) < 300
+        if "u" in record and len(record["profile"]) == 2:
+            assert "profile [0, 0], player 1: " in err

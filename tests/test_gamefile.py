@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import (BUILTIN_NAMES, GameFormatError, builtin, builtin_game,
+from bergegames import (BUILTIN_NAMES, Game, GameFormatError, builtin, builtin_game,
                         parse_game, serialize_game)
 
-from bergegames.game import digit_limit
+from bergegames import gamefile
+from bergegames.game import digit_limit, profiles
 
 from conftest import random_game
 
@@ -73,10 +74,13 @@ class TestParse:
             parse_game(json.dumps(doc))
 
     def test_malformed_rational_reports_location(self):
+        # The values of the records before it are parsed already.
         doc = _eq5_doc()
         doc["payoffs"][3]["u"][1] = "2/0"
-        with pytest.raises(GameFormatError, match=r"profile \[0, 1, 1\], player 2"):
+        with pytest.raises(GameFormatError) as exc:
             parse_game(json.dumps(doc))
+        assert str(exc.value) == ("profile [0, 1, 1], player 2: malformed rational '2/0' "
+                                  "(Fraction(2, 0))")
 
     def test_oversized_rational_rejected_quickly(self):
         doc = _eq5_doc()
@@ -137,6 +141,84 @@ class TestParse:
         doc["payoffs"][0]["profile"] = [0, 0, 2]
         with pytest.raises(GameFormatError, match="out of range"):
             parse_game(json.dumps(doc))
+
+
+def _two_by_two(*records):
+    return json.dumps({"players": 2, "strategies": [["a", "b"], ["c", "d"]],
+                       "payoffs": [{"profile": p, "u": u} for p, u in records]})
+
+
+class TestParseOncePerValue:
+    # Equal values of different types hash alike (1 == True == 1.0), so a
+    # parse that reuses earlier results must still refuse each of these with
+    # the message it gives when nothing was seen before.
+    @pytest.mark.parametrize("good, bad, message", [
+        (1, True, "profile [0, 1], player 1: boolean is not a rational"),
+        (2, 2.0, "profile [0, 1], player 1: floating-point payoffs are not allowed, "
+                 "use an integer or a 'num/den' string"),
+        (0, [0], "profile [0, 1], player 1: cannot read a rational from [0]"),
+    ], ids=["true-after-1", "2.0-after-2", "list-after-0"])
+    def test_equal_value_of_another_type_rejected(self, good, bad, message):
+        text = _two_by_two(([0, 0], [good, good]), ([0, 1], [bad, good]),
+                           ([1, 0], [0, 0]), ([1, 1], [0, 0]))
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(text)
+        assert str(exc.value) == message
+
+    def test_boolean_profile_after_equal_integer_profile(self):
+        text = _two_by_two(([1, 0], [0, 0]), ([True, 0], [1, 1]),
+                           ([0, 1], [0, 0]), ([1, 1], [0, 0]))
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(text)
+        assert str(exc.value) == "profile [True, 0] must be 2 integer indices"
+
+    def test_one_parse_per_distinct_value(self, monkeypatch):
+        # A tied 5x5x5x5 document: 2,500 payoffs, three distinct values.
+        rng = random.Random(5)
+        table = {p: tuple(Fraction(rng.randint(0, 2)) for _ in range(4))
+                 for p in profiles((5,) * 4)}
+        doc = {"players": 4, "strategies": [["a", "b", "c", "d", "e"]] * 4,
+               "payoffs": [{"profile": list(p), "u": [str(x) for x in vec]}
+                           for p, vec in table.items()]}
+        calls = []
+        real = gamefile._parse_rational
+
+        def counted(value, where):
+            calls.append(value)
+            return real(value, where)
+        monkeypatch.setattr(gamefile, "_parse_rational", counted)
+        assert parse_game(json.dumps(doc)) == Game((5,) * 4, table)
+        assert sorted(calls) == ["0", "1", "2"]
+
+    # Spellings of one rational that must all parse to it.
+    SPELLINGS = {
+        Fraction(0): [0, "0", "-0", "0/7", "0.0", "0e5"],
+        Fraction(1): [1, "1", "+1", "3/3", "1.0", "10e-1", " 1 "],
+        Fraction(-1): [-1, "-1", "-2/2", "-1.0", "-1e0"],
+        Fraction(2): [2, "2", "4/2", "2.00", "0.2e1"],
+        Fraction(1, 2): ["1/2", "2/4", "0.5", "5e-1", ".5"],
+        Fraction(-1, 2): ["-1/2", "-2/4", "-0.5", "-5e-1"],
+        Fraction(3, 4): ["3/4", "6/8", "0.75", "75e-2"],
+        Fraction(-7, 3): ["-7/3", "-14/6", "-21/9"],
+        Fraction(10 ** 20): [10 ** 20, "100000000000000000000", "1e20"],
+    }
+
+    def test_mixed_spellings_match_fraction_game(self):
+        rng = random.Random(2024)
+        pool = list(self.SPELLINGS)
+        for _ in range(60):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            names = [[f"s{j}{i}" for i in range(m)] for j, m in enumerate(counts)]
+            table = {p: tuple(rng.choice(pool) for _ in counts) for p in profiles(counts)}
+            records = [{"profile": list(p),
+                        "u": [rng.choice(self.SPELLINGS[x]) for x in vec]}
+                       for p, vec in table.items()]
+            rng.shuffle(records)
+            g = parse_game(json.dumps({"players": len(counts), "strategies": names,
+                                       "payoffs": records}))
+            assert g == Game(counts, table, names)
+            assert all(g.payoff_vector(p) == vec for p, vec in table.items())
+            assert parse_game(serialize_game(g)) == g
 
 
 class TestRoundTrip:
