@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -106,9 +107,8 @@ def _cmd_check(args) -> int:
 
 
 def _graph_lines(graphs):
-    for j, fs in enumerate(graphs):
-        faces = " ".join(search.face_str(f) for f in fs.sorted_faces())
-        yield f"player {j + 1}: {faces}"
+    for j, graph in enumerate(graphs):
+        yield f"player {j + 1}: {' '.join(map(search.face_str, graph))}"
 
 
 def _cmd_decide_berge(args) -> int:
@@ -143,20 +143,20 @@ def _face_json(face):
 def _cmd_bsg(args) -> int:
     game = load_game(args.file)
     graphs = search.best_support_graph_222(game)
-    step = Fraction(1, 20)
+    # Each face sampled on a grid of step 1/20 in its free coordinates.
+    ticks = [Fraction(t, 20) for t in range(21)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["player", "p", "q", "r", "face"])
-        for j, fs in enumerate(graphs):
-            for face in fs.sorted_faces():
-                single = search.FaceSet(3, frozenset([face]))
-                for point in single.sample_points(step):
+        for j, graph in enumerate(graphs):
+            for face in graph:
+                axes = [ticks if c is None else [Fraction(c)] for c in face]
+                for point in itertools.product(*axes):
                     writer.writerow([j + 1, *(format_rational(x) for x in point),
                                      search.face_str(face)])
     sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".json"
-    payload = {"players": [{"player": j + 1,
-                            "faces": [_face_json(f) for f in fs.sorted_faces()]}
-                           for j, fs in enumerate(graphs)]}
+    payload = {"players": [{"player": j + 1, "faces": [_face_json(f) for f in graph]}
+                           for j, graph in enumerate(graphs)]}
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out} and {sidecar}")

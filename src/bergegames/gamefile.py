@@ -74,6 +74,9 @@ def parse_game(text: str) -> Game:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # An integer with more digits than the interpreter converts.
+        raise GameFormatError(f"number too large: {exc}") from None
     if not isinstance(doc, dict):
         raise GameFormatError("document must be a JSON object")
     for key in ("players", "strategies", "payoffs"):
@@ -108,8 +111,8 @@ def parse_game(text: str) -> Game:
         profile = tuple(raw)
         if not all(map(range.__contains__, ranges, profile)):
             j = next(j for j, i in enumerate(profile) if i not in ranges[j])
-            raise GameFormatError(f"profile {raw}: index {raw[j]} of player "
-                                  f"{j + 1} out of range [0, {counts[j]})")
+            raise GameFormatError(f"profile {_clip(repr(raw))}: index {_clip(repr(raw[j]))} "
+                                  f"of player {j + 1} out of range [0, {counts[j]})")
         if profile in table:
             raise GameFormatError(f"duplicate payoff record for profile {raw}")
         u = rec["u"]

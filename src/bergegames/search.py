@@ -4,12 +4,14 @@ plus an exact grid search over simplex grids for general small games.
 In a 2x2x2 game in which no player can influence their own payoff, player
 i's expected payoff is multilinear in the co-players' probabilities alone,
 so its maximizers over the cube form the union of the faces all of whose
-vertices are pure profiles where player i's payoff is their best.  The graph of player i's
-best-support correspondence is therefore spanned by those best pure
-profiles, and the meet of the three graphs by the pure Berge equilibria: a
-mixed profile is Berge exactly when every pure profile of its support box is.
-A nonempty meet yields a witness that is re-verified, while an empty one
-yields a coordinate conflict certificate where the graphs force one.
+vertices are pure profiles where player i's payoff is their best.  The
+graph of player i's best-support correspondence is therefore spanned by
+that set of best pure profiles, and the meet of the three graphs by the
+intersection of the three sets, the pure Berge equilibria: a mixed profile
+is Berge exactly when every pure profile of its support box is.  Graphs and
+meet are plain tuples of their maximal faces in a fixed order.  A nonempty
+meet yields a witness that is re-verified, while an empty one yields a
+coordinate conflict certificate where the graphs force one.
 """
 
 from __future__ import annotations
@@ -38,53 +40,6 @@ def face_contains(outer: Face, inner: Face) -> bool:
     return all(o is None or o == i for o, i in zip(outer, inner))
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    """A deduplicated union of faces of [0,1]^dim; faces contained in other
-    faces of the set are pruned."""
-
-    dim: int
-    faces: frozenset[Face]
-
-    def __post_init__(self):
-        faces = set()
-        for f in self.faces:
-            f = tuple(f)
-            if len(f) != self.dim:
-                raise ValueError(f"face {f} has wrong dimension, expected {self.dim}")
-            faces.add(f)
-        pruned = {f for f in faces
-                  if not any(g != f and face_contains(g, f) for g in faces)}
-        object.__setattr__(self, "faces", frozenset(pruned))
-
-    def __bool__(self):
-        return bool(self.faces)
-
-    def forced_value(self, coordinate: int) -> Optional[int]:
-        """The value every face of the set fixes `coordinate` to, if any."""
-        values = {f[coordinate] for f in self.faces}
-        if len(values) == 1:
-            (v,) = values
-            if v is not None:
-                return v
-        return None
-
-    def sample_points(self, step: Fraction) -> Iterator[tuple[Fraction, ...]]:
-        """Grid points of every face, free coordinates stepped by `step`."""
-        ticks = []
-        t = Fraction(0)
-        while t < 1:
-            ticks.append(t)
-            t += step
-        ticks.append(Fraction(1))
-        for face in sorted(self.faces, key=lambda f: tuple(-1 if c is None else c for c in f)):
-            axes = [[Fraction(c)] if c is not None else ticks for c in face]
-            yield from itertools.product(*axes)
-
-    def sorted_faces(self) -> list[Face]:
-        return sorted(self.faces, key=lambda f: tuple(2 if c is None else c for c in f))
-
-
 def _require_oi222(game: Game):
     if game.strategy_counts != (2, 2, 2):
         raise UnsupportedGameError(
@@ -96,34 +51,41 @@ def _require_oi222(game: Game):
                 f"player {player + 1} can influence their own payoff")
 
 
-# Every face of the cube with its vertices as pure profiles, larger faces
-# first: coordinate 1 is strategy index 0, coordinate 0 is index 1, and a
-# free coordinate takes both.
+# Every face of the cube with its vertices as pure profiles, in descending
+# order of the key that reads a free coordinate as 2: coordinate 1 is
+# strategy index 0, coordinate 0 is index 1, and a free coordinate takes
+# both.  A face has a greater key than every face inside it.
 _CUBE_FACES = tuple(
     (face, tuple(itertools.product(*((0, 1) if c is None else (1 - c,) for c in face))))
     for face in sorted(itertools.product((0, 1, None), repeat=3),
-                       key=lambda f: -f.count(None)))
+                       key=lambda f: tuple(2 if c is None else c for c in f), reverse=True))
 
 
-def _faces_within(pure: set) -> FaceSet:
-    # The faces of the cube whose vertices are all in `pure`.  Faces inside
-    # one already taken are skipped here, so FaceSet has few left to prune.
+def _faces_within(pure: set) -> tuple[Face, ...]:
+    # The maximal faces of the cube whose vertices are all in `pure`, in
+    # ascending key order.  Each face is seen before the faces inside it, so
+    # skipping a face inside one already taken leaves only maximal faces.
     faces = []
     for face, vertices in _CUBE_FACES:
         if pure.issuperset(vertices) and not any(face_contains(f, face) for f in faces):
             faces.append(face)
-    return FaceSet(3, frozenset(faces))
+    return tuple(reversed(faces))
 
 
-def best_support_graph_222(game: Game) -> tuple[FaceSet, FaceSet, FaceSet]:
-    """Per player, the graph of the best-support correspondence as a union
-    of faces of the cube, coordinates being each player's first-strategy
-    probability: the faces spanned by the pure profiles where the player's
-    payoff is their best."""
+def _best_profiles(game: Game) -> list[set]:
+    # Per player, the pure profiles where their payoff is their best.
     _require_oi222(game)
-    return tuple(_faces_within(set(itertools.compress(
-                     game.pure_profiles(), game.attains_best(player, over_own=False))))
-                 for player in range(3))
+    return [set(itertools.compress(game.pure_profiles(),
+                                   game.attains_best(player, over_own=False)))
+            for player in range(3)]
+
+
+def best_support_graph_222(game: Game) -> tuple[tuple[Face, ...], ...]:
+    """Per player, the graph of the best-support correspondence as its
+    maximal faces of the cube, coordinates being each player's
+    first-strategy probability: the faces spanned by the pure profiles where
+    the player's payoff is their best."""
+    return tuple(map(_faces_within, _best_profiles(game)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +102,7 @@ class CoordinateConflict:
 class ExistenceCertificate:
     exists: bool
     witness: Optional[MixedProfile]
-    per_player_graphs: tuple[FaceSet, FaceSet, FaceSet]
+    per_player_graphs: tuple[tuple[Face, ...], ...]
     conflict: Optional[CoordinateConflict]
 
 
@@ -157,21 +119,21 @@ def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
     """Exact existence decision for own-payoff-independent 2x2x2 games:
     Berge equilibria are precisely the points common to the three
     best-support graphs, the faces spanned by the pure Berge equilibria."""
-    graphs = best_support_graph_222(game)
-    meet = _faces_within(set(equilibria.enumerate_pure_berge(game)))
+    best = _best_profiles(game)
+    graphs = tuple(map(_faces_within, best))
+    meet = _faces_within(set.intersection(*best))
     if meet:
-        face = meet.sorted_faces()[0]
-        witness = _witness_from_face(face)
+        witness = _witness_from_face(meet[0])
         if not equilibria.is_berge(game, witness).is_equilibrium:
             raise RuntimeError("witness failed exact re-verification")
         return ExistenceCertificate(True, witness, graphs, None)
     conflict = None
     for coord in range(3):
-        forced = [(p, graphs[p].forced_value(coord)) for p in range(3)]
-        zeros = [p for p, v in forced if v == 0]
-        ones = [p for p, v in forced if v == 1]
-        if zeros and ones:
-            conflict = CoordinateConflict(coord, zeros[0], ones[0])
+        # Per player, the values the graph's faces give the coordinate:
+        # {0} or {1} when the graph forces it.
+        fixed = [{f[coord] for f in graph} for graph in graphs]
+        if {0} in fixed and {1} in fixed:
+            conflict = CoordinateConflict(coord, fixed.index({0}), fixed.index({1}))
             break
     return ExistenceCertificate(False, None, graphs, conflict)
 

@@ -43,14 +43,11 @@ def test_criterion_2_no_mixed_berge(tmp_path, capsys, eq5):
     code = cli_main(["decide-berge", _write_builtin(tmp_path, "eq5")])
     out = capsys.readouterr().out
     cert = decide_berge_existence_oi222(eq5)
-    graphs_ok = (cert.per_player_graphs[0].faces == frozenset([(None, 1, 1)])
-                 and cert.per_player_graphs[1].faces == frozenset([(1, None, 0)])
-                 and cert.per_player_graphs[2].faces == frozenset([(0, 0, None)]))
-    conflict_ok = cert.conflict is not None and (
-        cert.per_player_graphs[cert.conflict.player_forcing_zero]
-            .forced_value(cert.conflict.coordinate) == 0
-        and cert.per_player_graphs[cert.conflict.player_forcing_one]
-            .forced_value(cert.conflict.coordinate) == 1)
+    graphs, c = cert.per_player_graphs, cert.conflict
+    graphs_ok = graphs == (((None, 1, 1),), ((1, None, 0),), ((0, 0, None),))
+    conflict_ok = c is not None and (
+        {f[c.coordinate] for f in graphs[c.player_forcing_zero]} == {0}
+        and {f[c.coordinate] for f in graphs[c.player_forcing_one]} == {1})
     ok = (code == 3 and "outcome: not-exists" in out
           and not cert.exists and graphs_ok and conflict_ok)
     report(2, "decide-berge(eq5): not-exists, graphs are the three cube edges, "

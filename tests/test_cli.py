@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -25,6 +26,24 @@ def pd_file(tmp_path):
 def sumgame_file(tmp_path):
     path = tmp_path / "sumgame222.json"
     path.write_text(builtin("sumgame222"))
+    return str(path)
+
+
+# An own-payoff-independent 2x2x2 game with payoffs in {-1, 0, 1}, drawn by
+# a seeded generator and written out here: every graph has two faces, and
+# the meet has three.
+_TIES_DOC = {"players": 3, "strategies": [["A1", "A2"], ["B1", "B2"], ["C1", "C2"]],
+             "payoffs": [{"profile": list(p), "u": u} for p, u in [
+                 ((0, 0, 0), [1, 1, 0]), ((0, 0, 1), [1, 1, 0]),
+                 ((0, 1, 0), [0, 1, 0]), ((0, 1, 1), [1, 1, 0]),
+                 ((1, 0, 0), [1, -1, 0]), ((1, 0, 1), [1, 1, 0]),
+                 ((1, 1, 0), [0, -1, -1]), ((1, 1, 1), [1, 1, -1])]]}
+
+
+@pytest.fixture
+def ties_file(tmp_path):
+    path = tmp_path / "ties.json"
+    path.write_text(json.dumps(_TIES_DOC))
     return str(path)
 
 
@@ -123,6 +142,34 @@ class TestDecideBerge:
         assert "outcome: exists" in out
         assert "witness: (1,0) (1,0) (1,0)" in out
 
+    @pytest.mark.parametrize("name, expected_code, expected_out", [
+        ("zero222", 0, "outcome: exists\n"
+                       "player 1: (*,*,*)\n"
+                       "player 2: (*,*,*)\n"
+                       "player 3: (*,*,*)\n"
+                       "witness: (1/2,1/2) (1/2,1/2) (1/2,1/2)\n"),
+        ("sumgame222", 0, "outcome: exists\n"
+                          "player 1: (*,1,1)\n"
+                          "player 2: (1,*,1)\n"
+                          "player 3: (1,1,*)\n"
+                          "witness: (1,0) (1,0) (1,0)\n"),
+        ("eq5", 3, "outcome: not-exists\n"
+                   "player 1: (*,1,1)\n"
+                   "player 2: (1,*,0)\n"
+                   "player 3: (0,0,*)\n"
+                   "conflict: coordinate p is fixed to 0 by player 3 and to 1 by player 2\n"),
+        ("ties", 0, "outcome: exists\n"
+                    "player 1: (*,1,*) (*,*,0)\n"
+                    "player 2: (1,*,*) (*,*,0)\n"
+                    "player 3: (1,*,*) (*,1,*)\n"
+                    "witness: (1,0) (1,0) (1/2,1/2)\n"),
+    ])
+    def test_full_output(self, capsys, tmp_path, name, expected_code, expected_out):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_TIES_DOC) if name == "ties" else builtin(name))
+        code, out, err = run(capsys, "decide-berge", str(path))
+        assert (code, out, err) == (expected_code, expected_out, "")
+
     def test_unsupported_shape(self, capsys, pd_file):
         code, _, err = run(capsys, "decide-berge", pd_file)
         assert code == 2
@@ -162,6 +209,28 @@ class TestBsg:
         sidecar = json.load(open(str(tmp_path / "graphs.json")))
         faces = {p["player"]: p["faces"] for p in sidecar["players"]}
         assert faces == {1: [["*", 1, 1]], 2: [[1, "*", 0]], 3: [[0, 0, "*"]]}
+
+    def test_multi_face_graphs_full_output(self, capsys, ties_file, tmp_path):
+        # Each face of two free coordinates gives 21 x 21 rows, in face
+        # order, then p, q, r ascending.
+        out_path = tmp_path / "ties.csv"
+        code, out, _ = run(capsys, "bsg", ties_file, "--out", str(out_path))
+        assert code == 0
+        assert out == f"wrote {out_path} and {tmp_path / 'ties.json'}\n"
+        data = out_path.read_bytes()
+        lines = data.decode().split("\r\n")
+        assert len(lines) == 1 + 6 * 21 * 21 + 1
+        assert lines[:3] == ["player,p,q,r,face",
+                             '1,0,1,0,"(*,1,*)"', '1,0,1,1/20,"(*,1,*)"']
+        assert lines[440:443] == ['1,1,1,19/20,"(*,1,*)"', '1,1,1,1,"(*,1,*)"',
+                                  '1,0,0,0,"(*,*,0)"']
+        assert lines[-3:] == ['3,1,1,19/20,"(*,1,*)"', '3,1,1,1,"(*,1,*)"', ""]
+        assert hashlib.sha256(data).hexdigest() == (
+            "a1b7151cdbe139f1f2beffe3b66183320f76eb34889aaaddee825f3eadab277c")
+        faces = {1: [["*", 1, "*"], ["*", "*", 0]], 2: [[1, "*", "*"], ["*", "*", 0]],
+                 3: [[1, "*", "*"], ["*", 1, "*"]]}
+        expected = {"players": [{"player": j, "faces": faces[j]} for j in (1, 2, 3)]}
+        assert (tmp_path / "ties.json").read_text() == json.dumps(expected, indent=2)
 
     def test_unsupported_game(self, capsys, pd_file, tmp_path):
         code, _, _ = run(capsys, "bsg", pd_file, "--out", str(tmp_path / "x.csv"))
@@ -204,12 +273,22 @@ class TestErrors:
         assert out == ""
         assert "'players'" in err
 
+    def test_oversized_json_integer(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"players": 1, "strategies": [["a"]], '
+                        '"payoffs": [{"profile": [0], "u": [' + "9" * 5000 + ']}]}')
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad game document: ")
+
     @pytest.mark.parametrize("record", [
         {"profile": [0, 0], "u": ["1/" + "x" * 200_000, 0]},
         {"profile": [0, 0], "u": [["1"] * 50_000, 0]},
         {"profile": [0, 0], "v": "x" * 200_000},
         {"profile": [0] * 50_000, "u": [0, 0]},
-    ], ids=["malformed-rational", "not-a-rational", "record", "profile"])
+        {"profile": [0, 10**4000], "u": [0, 0]},
+    ], ids=["malformed-rational", "not-a-rational", "record", "profile", "index"])
     def test_bad_input_echoed_short(self, capsys, tmp_path, record):
         # The message shows a prefix of a huge bad entry, and still says where it is.
         path = tmp_path / "huge.json"
@@ -219,5 +298,7 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert len(err) < 300
-        if "u" in record and len(record["profile"]) == 2:
+        if "u" in record and record["profile"] == [0, 0]:
             assert "profile [0, 0], player 1: " in err
+        if record["profile"][1:2] == [10**4000]:
+            assert "of player 2 out of range [0, 1)" in err

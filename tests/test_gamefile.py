@@ -126,6 +126,14 @@ class TestParse:
         with pytest.raises(GameFormatError, match="JSON"):
             parse_game("not json at all {")
 
+    def test_oversized_json_integer(self):
+        # json.loads refuses an integer past the interpreter's digit limit
+        # with a plain ValueError, not a JSONDecodeError.
+        text = ('{"players": 1, "strategies": [["a"]], '
+                '"payoffs": [{"profile": [0], "u": [' + "9" * 5000 + ']}]}')
+        with pytest.raises(GameFormatError, match="number too large"):
+            parse_game(text)
+
     def test_boolean_players_rejected(self):
         # json reads `true` as a bool, which is an int; the header must not
         # count it as one player.

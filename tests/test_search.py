@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import (FaceSet, Game, MixedProfile, MixedStrategy,
+from bergegames import (Game, MixedProfile, MixedStrategy,
                         UnsupportedGameError, berge_deficiency, best_support,
                         best_support_graph_222, decide_berge_existence_oi222,
                         enumerate_pure_berge, equilibria, grid_search_min_deficiency,
                         is_berge, simplex_grid)
-from bergegames.search import face_contains
+from bergegames.search import _faces_within, face_contains
 
 from conftest import random_game, random_rational_table
 
@@ -24,10 +24,6 @@ class TestFaces:
     def test_contains(self):
         assert face_contains((None, 1, None), (0, 1, 1))
         assert not face_contains((0, 1, 1), (None, 1, None))
-
-    def test_faceset_prunes_subfaces(self):
-        fs = FaceSet(2, frozenset([(1, 1), (1, None), (None, None)]))
-        assert fs.faces == frozenset([(None, None)])
 
 
 def _oi_game(forms):
@@ -57,19 +53,19 @@ class TestBestSupportGraph:
         # (q, r), the first-strategy probabilities of players 2 and 3.
         game = _oi_game([form, _bilinear(0, 0, 0, 0), _bilinear(0, 0, 0, 0)])
         graph = best_support_graph_222(game)[0]
-        assert graph.faces == frozenset(faces)
+        assert graph == tuple(faces)
         for own in (MixedStrategy((1, 0)), MixedStrategy((F(1, 3), F(2, 3)))):
             assert best_support(game, 0, own).value == value
 
     def test_eq5_edges(self, eq5):
         g1, g2, g3 = best_support_graph_222(eq5)
-        assert g1.faces == frozenset([(None, 1, 1)])
-        assert g2.faces == frozenset([(1, None, 0)])
-        assert g3.faces == frozenset([(0, 0, None)])
+        assert g1 == ((None, 1, 1),)
+        assert g2 == ((1, None, 0),)
+        assert g3 == ((0, 0, None),)
 
     def test_zero_game_full_cube(self, zero222):
-        for fs in best_support_graph_222(zero222):
-            assert fs.faces == frozenset([(None, None, None)])
+        for graph in best_support_graph_222(zero222):
+            assert graph == ((None, None, None),)
 
     def test_rejects_wrong_shape(self, pd):
         with pytest.raises(UnsupportedGameError):
@@ -83,15 +79,18 @@ class TestBestSupportGraph:
             best_support_graph_222(g)
 
     def test_graph_points_have_zero_gap(self, eq5, sumgame222):
-        # every sampled point of player i's graph makes the complement a
-        # best support to player i's strategy
+        # every point of player i's graph on the grid of step 1/4 makes the
+        # complement a best support to player i's strategy
+        ticks = [F(t, 4) for t in range(5)]
         for game in (eq5, sumgame222):
             graphs = best_support_graph_222(game)
-            for i, fs in enumerate(graphs):
-                for point in fs.sample_points(F(1, 4)):
-                    profile = _profile_from_coords(point)
-                    realized = game.expected_payoff(profile, i)
-                    assert realized == best_support(game, i, profile[i]).value
+            for i, graph in enumerate(graphs):
+                for face in graph:
+                    for point in itertools.product(*(ticks if c is None else [F(c)]
+                                                     for c in face)):
+                        profile = _profile_from_coords(point)
+                        realized = game.expected_payoff(profile, i)
+                        assert realized == best_support(game, i, profile[i]).value
 
 
 def _profile_from_coords(coords):
@@ -107,8 +106,10 @@ class TestDecideExistence:
         assert cert.conflict is not None
         # the named coordinate really is forced to opposite values
         c = cert.conflict
-        assert cert.per_player_graphs[c.player_forcing_zero].forced_value(c.coordinate) == 0
-        assert cert.per_player_graphs[c.player_forcing_one].forced_value(c.coordinate) == 1
+        zero_graph = cert.per_player_graphs[c.player_forcing_zero]
+        one_graph = cert.per_player_graphs[c.player_forcing_one]
+        assert {f[c.coordinate] for f in zero_graph} == {0}
+        assert {f[c.coordinate] for f in one_graph} == {1}
 
     def test_sumgame_exists(self, sumgame222):
         cert = decide_berge_existence_oi222(sumgame222)
@@ -126,6 +127,20 @@ def _on_face(face, point):
     return all(c is None or c == x for c, x in zip(face, point))
 
 
+def _key(face):
+    return tuple(2 if c is None else c for c in face)
+
+
+def _maximal_faces(vertices):
+    # Every face of the cube whose corners all lie in `vertices` (coordinate
+    # 1 is strategy index 0), keeping those inside no other, by ascending key.
+    faces = [face for face in itertools.product((0, 1, None), repeat=3)
+             if all(corner in vertices for corner in
+                    itertools.product(*((0, 1) if c is None else (1 - c,) for c in face)))]
+    return sorted((f for f in faces
+                   if not any(g != f and face_contains(g, f) for g in faces)), key=_key)
+
+
 class TestRandomOIGames:
     def test_graphs_and_decision_match_direct_checks(self):
         # Checked against best_support, expected_payoff and berge_deficiency
@@ -140,16 +155,25 @@ class TestRandomOIGames:
             graphs = best_support_graph_222(game)
             for point in points:
                 profile = _profile_from_coords(point)
-                for i, fs in enumerate(graphs):
+                for i, graph in enumerate(graphs):
                     best = best_support(game, i, profile[i]).value
-                    on_graph = any(_on_face(face, point) for face in fs.faces)
+                    on_graph = any(_on_face(face, point) for face in graph)
                     assert on_graph == (game.expected_payoff(profile, i) == best)
+            pure_berge = enumerate_pure_berge(game)
+            meet = _faces_within(set(pure_berge))
+            assert list(meet) == _maximal_faces(pure_berge)
+            for faces in (*graphs, meet):
+                # No face lies inside another, and keys strictly ascend.
+                assert not any(g != f and face_contains(g, f) for f in faces for g in faces)
+                assert all(_key(f) < _key(g) for f, g in zip(faces, faces[1:]))
             cert = decide_berge_existence_oi222(game)
-            assert cert.exists == bool(enumerate_pure_berge(game))
+            assert cert.per_player_graphs == graphs
+            assert cert.exists == bool(pure_berge)
             assert cert.exists == any(berge_deficiency(game, _profile_from_coords(point)) == 0
                                       for point in points)
             if cert.exists:
                 assert berge_deficiency(game, cert.witness) == 0
+                assert _on_face(meet[0], [s.probs[0] for s in cert.witness.strategies])
 
 
 class TestGridSearch:
