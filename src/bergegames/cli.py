@@ -17,9 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import equilibria, search
-from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError
-from .gamefile import (BUILTIN_NAMES, GameFormatError, builtin, format_rational,
-                       load_game, parse_rational_text)
+from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError, rational
+from .gamefile import BUILTIN_NAMES, GameFormatError, builtin, format_rational, load_game
 
 COORD_NAMES = ("p", "q", "r")
 
@@ -41,8 +40,8 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
         return game.uniform()
     try:
         # Decimal literals go to Fraction as source text, never through float.
-        raw = json.loads(spec, parse_float=parse_rational_text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(spec, parse_float=rational)
+    except (json.JSONDecodeError, RecursionError) as exc:   # or too deeply nested to decode
         raise ValueError(f"profile spec is neither 'uniform' nor valid JSON: {exc}")
     if not isinstance(raw, list) or len(raw) != game.player_count:
         raise ValueError(f"profile spec must list {game.player_count} probability vectors")
@@ -51,9 +50,8 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
         if not isinstance(vec, list):
             raise ValueError(f"player {j + 1}: expected a probability vector")
         try:
-            probs = tuple(parse_rational_text(str(v)) for v in vec)
-            strategies.append(MixedStrategy(probs))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            strategies.append(MixedStrategy(tuple(vec)))
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"player {j + 1}: bad probability vector ({exc})")
     return game.validate_profile(MixedProfile(tuple(strategies)))
 

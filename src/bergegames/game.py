@@ -1,13 +1,14 @@
 """Finite normal-form games with exact rational payoffs.
 
-Everything is exact: payoffs and probabilities are `fractions.Fraction` at
-the API, so expected values, equilibrium gaps, and all comparisons are
-certificates, never approximations.  Inside, a game stores each player's
-payoffs once as a flat tuple of Python ints over one common denominator
-(the lcm of all payoff denominators, at most `digit_limit()` digits long),
-and mixed strategies enter as integer numerators over their own common
-denominator; the kernel then needs no gcd until a result leaves it as a
-`Fraction`.  All objects are immutable after
+Everything is exact: every payoff and probability from outside is read by
+`rational` into a `fractions.Fraction`, so expected values, equilibrium
+gaps, and all comparisons are certificates, never approximations.  Inside,
+a game stores each player's payoffs once as a flat tuple of Python ints
+over one common denominator (the lcm of all payoff denominators: at most
+`digit_limit()` digits long, and the payoff count times its digits at most
+`1000 * digit_limit()`), and mixed strategies enter as integer numerators
+over their own common denominator; the kernel then needs no gcd until a
+result leaves it as a `Fraction`.  All objects are immutable after
 construction and all operations are pure functions.
 
 Conventions: players and strategies are 0-based; a pure profile is a tuple
@@ -72,10 +73,40 @@ def _numerators(strategy: "MixedStrategy") -> tuple[tuple[int, ...], int]:
     return tuple(p.numerator * (den // p.denominator) for p in strategy.probs), den
 
 
-def _as_fraction(value) -> Fraction:
+def _clip(text: str) -> str:
+    # An echo of outside input in an error message, cut to a short prefix.
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
+def rational(value) -> Fraction:
+    """The exact rational a payoff or probability from outside stands for:
+    a `Fraction` as it is, an `int`, or a string as `Fraction` reads it.  A
+    malformed string, or a decimal needing more than `digit_limit()` digits
+    (counted before any big-int work, so "1e2000000" fails at once), is a
+    ValueError; any other type, a bool or a float included, a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("boolean is not a rational")
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, float):
-        raise TypeError("floating-point values are not allowed; use Fraction, int or 'num/den'")
-    return value if type(value) is Fraction else Fraction(value)
+        raise TypeError("floating-point values are not allowed, "
+                        "use an integer or a 'num/den' string")
+    if not isinstance(value, str):
+        raise TypeError(f"cannot read a rational from {_clip(repr(value))}")
+    try:
+        limit = digit_limit()
+        mantissa, _, exponent = value.lower().partition("e")
+        magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if magnitude.isdigit() and (
+                len(magnitude) > len(str(limit))
+                or sum(c.isdigit() for c in mantissa) + int(magnitude) > limit):
+            raise ValueError(f"{value[:40]!r} needs more than {limit} decimal digits")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {_clip(repr(value))} "
+                         f"({_clip(str(exc))})") from None
 
 
 @dataclass(frozen=True)
@@ -85,7 +116,7 @@ class MixedStrategy:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        probs = tuple(_as_fraction(p) for p in self.probs)
+        probs = tuple(map(rational, self.probs))
         if not probs:
             raise ValueError("a mixed strategy needs at least one pure strategy")
         if any(p < 0 for p in probs):
@@ -149,8 +180,10 @@ class Game:
     """An n-player game given by strategy counts and an exact payoff tensor.
 
     `table` maps every pure profile (a tuple of 0-based indices) to the
-    n-vector of payoffs.  Degenerate games (a single player, or a player
-    with a single strategy) are legal.
+    n-vector of payoffs, each an `int`, a `Fraction` or a string that
+    `rational` reads; a payoff it refuses raises its error, prefixed with
+    the profile and player of the first one in profile order.  Degenerate
+    games (a single player, or a player with a single strategy) are legal.
     """
 
     def __init__(self, strategy_counts: Sequence[int], table, strategy_names=None):
@@ -169,35 +202,50 @@ class Game:
                           for i, m in enumerate(counts))
         self._names = names
 
-        rows = []
+        flat = []
         for profile in profiles(counts):
             try:
                 vec = table[profile]
             except KeyError:
                 raise ValueError(f"missing payoff for profile {profile}") from None
-            vec = tuple(_as_fraction(u) for u in vec)
             if len(vec) != n:
                 raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
-            rows.append(vec)
-        if len(table) != len(rows):
+            flat.extend(vec)
+        if len(table) != math.prod(counts):
             extra = set(table) - set(profiles(counts))
             raise ValueError(f"payoff table has entries for invalid profiles: {sorted(extra)}")
-        # One common denominator for all payoffs, refused before any payoff
-        # is scaled to it if it needs more than digit_limit() digits: every
-        # stored int carries it.
-        denominators = {u.denominator for vec in rows for u in vec}
+        # Each distinct payoff is read once, in profile order, so the first
+        # bad one is reported.  An int or a str is its own key and any other
+        # key a tuple, so 1 never shares one with True or 1.0, which equal
+        # it: a Fraction's terms (Fraction.__hash__ is slow), else the type
+        # and identity of a value the reader refuses.
+        keys = [u if type(u) in (int, str) else u.as_integer_ratio() if type(u) is Fraction
+                else (type(u), id(u)) for u in flat]
+        values = dict(zip(keys, flat))
+        for key, u in values.items():
+            try:
+                values[key] = rational(u)
+            except (ValueError, TypeError) as exc:
+                k = keys.index(key)
+                profile = next(itertools.islice(profiles(counts), k // n, None))
+                raise type(exc)(f"profile {list(profile)}, player {k % n + 1}: {exc}") from None
+        # One common denominator, carried by every stored int: refused before
+        # any payoff is scaled to it if it needs more than digit_limit()
+        # digits, or all the payoffs together more than 1000 times that.
         limit = digit_limit()
         bound = 10 ** limit
         scale = 1
-        for d in denominators:
+        for d in {v.denominator for v in values.values()}:
             scale = math.lcm(scale, d)
             if scale >= bound:
                 raise ValueError("the common denominator of the payoffs needs more "
                                  f"than {limit} decimal digits")
-        factor = {d: scale // d for d in denominators}
+        if len(flat) * len(str(scale)) > 1000 * limit:
+            raise ValueError(f"{len(flat)} payoffs over a common denominator of {len(str(scale))} "
+                             f"digits need more than {1000 * limit} decimal digits in all")
+        scaled = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
         self._scale = scale
-        self._tensors = tuple(tuple(u.numerator * factor[u.denominator] for u in column)
-                              for column in zip(*rows))
+        self._tensors = tuple(tuple(map(scaled.__getitem__, keys[j::n])) for j in range(n))
         self._strides = tuple(math.prod(counts[j + 1:]) for j in range(n))
 
     @property

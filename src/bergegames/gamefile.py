@@ -9,7 +9,10 @@ Document layout::
 
 Payoff entries are integers or strings "num/den"; floating-point numbers
 are rejected so the format stays exact.  Each payoff record names its
-profile explicitly, so record order does not matter.
+profile explicitly, so record order does not matter.  `parse_game` checks
+the structure and hands the payoff lists to `Game`, which reads each
+distinct entry once with `game.rational`: a bad payoff is reported only in
+a sound structure, and of several, the first in profile order.
 """
 
 from __future__ import annotations
@@ -19,52 +22,11 @@ import json
 import math
 from fractions import Fraction
 
-from .game import Game, digit_limit, profiles
+from .game import Game, _clip, profiles
 
 
 class GameFormatError(ValueError):
     """A game document is malformed."""
-
-
-def parse_rational_text(text: str) -> Fraction:
-    """`Fraction(text)`, refusing first, with a ValueError, a decimal whose
-    numerator or denominator would need more than `digit_limit()` digits:
-    the mantissa's digits plus the exponent's magnitude, so that "1e2000000"
-    costs no big-integer work.  Without an exponent, `Fraction` meets the
-    interpreter's own limit itself, and `Game` bounds the common
-    denominator."""
-    if "e" in text or "E" in text:
-        limit = digit_limit()
-        mantissa, _, exponent = text.lower().partition("e")
-        magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        if magnitude.isdigit() and (
-                len(magnitude) > len(str(limit))
-                or sum(c.isdigit() for c in mantissa) + int(magnitude) > limit):
-            raise ValueError(f"{text[:40]!r} needs more than {limit} decimal digits")
-    return Fraction(text)
-
-
-def _clip(text: str) -> str:
-    # An echo of outside input in an error message, cut to a short prefix.
-    return text if len(text) <= 80 else text[:80] + "..."
-
-
-def _parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise GameFormatError(f"{where}: boolean is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise GameFormatError(f"{where}: floating-point payoffs are not allowed, "
-                              "use an integer or a 'num/den' string")
-    if isinstance(value, str):
-        try:
-            frac = parse_rational_text(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"{where}: malformed rational {_clip(repr(value))} "
-                                  f"({_clip(str(exc))})") from None
-        return frac
-    raise GameFormatError(f"{where}: cannot read a rational from {_clip(repr(value))}")
 
 
 def parse_game(text: str) -> Game:
@@ -72,7 +34,7 @@ def parse_game(text: str) -> Game:
     offending location on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # or too deeply nested to decode
         raise GameFormatError(f"not valid JSON: {exc}") from None
     except ValueError as exc:
         # An integer with more digits than the interpreter converts.
@@ -98,9 +60,6 @@ def parse_game(text: str) -> Game:
         raise GameFormatError("'payoffs' must be a list of records")
     int_profile = (int,) * n
     ranges = [range(m) for m in counts]
-    # Each distinct payoff is parsed once.  The key holds the type, since
-    # 1 == True == 1.0 hash alike, and only a value that parsed is stored.
-    values = {}
     table = {}
     for rec in records:
         if type(rec) is not dict or "profile" not in rec or "u" not in rec:
@@ -118,15 +77,7 @@ def parse_game(text: str) -> Game:
         u = rec["u"]
         if type(u) is not list or len(u) != n:
             raise GameFormatError(f"profile {raw}: 'u' must have {n} entries")
-        try:
-            table[profile] = tuple([values[type(v), v] for v in u])
-        except (KeyError, TypeError):
-            # A value not seen yet: parse the entries in order, so the first
-            # bad one is reported.  Only ints and strings parse; both hash.
-            for j, v in enumerate(u):
-                if type(v) not in (int, str) or (type(v), v) not in values:
-                    values[type(v), v] = _parse_rational(v, f"profile {raw}, player {j + 1}")
-            table[profile] = tuple([values[type(v), v] for v in u])
+        table[profile] = u
 
     expected = math.prod(counts)
     if len(table) != expected:
@@ -135,7 +86,7 @@ def parse_game(text: str) -> Game:
                               f"missing profiles: {[list(p) for p in missing]}")
     try:
         return Game(counts, table, names)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise GameFormatError(str(exc)) from None
 
 

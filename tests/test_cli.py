@@ -282,6 +282,17 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: bad game document: ")
 
+    def test_deeply_nested_input(self, capsys, tmp_path, eq5_file):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "info", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad game document: ")
+        code, out, err = run(capsys, "check", eq5_file, "--profile", "[" * 100_000,
+                             "--kind", "nash")
+        assert (code, out) == (1, "")
+        assert "nor valid JSON" in err
+
     @pytest.mark.parametrize("record", [
         {"profile": [0, 0], "u": ["1/" + "x" * 200_000, 0]},
         {"profile": [0, 0], "u": [["1"] * 50_000, 0]},

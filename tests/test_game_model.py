@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,21 @@ class TestConstruction:
         with pytest.raises(TypeError):
             MixedStrategy((0.5, 0.5))
 
+    def test_reader_refuses_bool_and_oversized_decimal(self):
+        # Game and MixedStrategy read their numbers as documents do: a bool
+        # is not a rational, and a decimal past digit_limit() digits is
+        # refused before any big-integer work.
+        with pytest.raises(TypeError, match="boolean"):
+            Game((1,), {(0,): (True,)})
+        with pytest.raises(TypeError, match="boolean"):
+            MixedStrategy((True,))
+        for build in (lambda: Game((1,), {(0,): ("1e-10000000",)}),
+                      lambda: MixedStrategy(("1e-10000000",))):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="decimal digits"):
+                build()
+            assert time.perf_counter() - start < 0.1
+
     def test_point_and_uniform(self):
         s = MixedStrategy.point(1, 3)
         assert s.probs == (0, 1, 0)
@@ -48,6 +64,16 @@ class TestConstruction:
         assert g.payoff((0,), 0) == Fraction(1, 10 ** (limit - 1))
         with pytest.raises(ValueError, match="common denominator"):
             Game((2,), {(0,): (Fraction(1, 10 ** limit),), (1,): (1,)})
+
+    def test_total_payoff_digits_capped(self):
+        # Every stored payoff carries the common denominator, so the payoff
+        # count times its digits may be at most 1000 * digit_limit().
+        limit = digit_limit()
+        tiny = Fraction(1, 10 ** (limit - 1))
+        g = Game((1000,), {(i,): (tiny if i == 0 else i,) for i in range(1000)})
+        assert g.payoff((0,), 0) == tiny
+        with pytest.raises(ValueError, match="in all"):
+            Game((1001,), {(i,): (tiny if i == 0 else i,) for i in range(1001)})
 
     def test_degenerate_game_ok(self):
         g = Game((1,), {(0,): (0,)})

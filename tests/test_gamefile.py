@@ -11,7 +11,7 @@ import pytest
 from bergegames import (BUILTIN_NAMES, Game, GameFormatError, builtin, builtin_game,
                         parse_game, serialize_game)
 
-from bergegames import gamefile
+from bergegames import game as game_module
 from bergegames.game import digit_limit, profiles
 
 from conftest import random_game
@@ -116,6 +116,24 @@ class TestParse:
         rec = doc["payoffs"][-1]
         assert g.payoff_vector(rec["profile"]) == tuple(Fraction(u) for u in rec["u"])
 
+    def test_total_payoff_digits_capped(self):
+        # One payoff 1/10^4299 among 2,500 small integers would make every
+        # stored payoff carry a 4,300-digit denominator: refused before any
+        # payoff is scaled to it.
+        doc = {"players": 4, "strategies": [["a", "b", "c", "d", "e"]] * 4,
+               "payoffs": [{"profile": list(p), "u": [(i + j) % 5 for j in range(4)]}
+                           for i, p in enumerate(profiles((5,) * 4))]}
+        doc["payoffs"][7]["u"][2] = f"1/{10 ** (digit_limit() - 1)}"
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        with pytest.raises(GameFormatError, match="in all"):
+            parse_game(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_deeply_nested_document(self):
+        with pytest.raises(GameFormatError, match="not valid JSON"):
+            parse_game("[" * 100_000)
+
     def test_float_payoff_rejected(self):
         doc = _eq5_doc()
         doc["payoffs"][0]["u"][0] = 0.5
@@ -162,7 +180,7 @@ class TestParseOncePerValue:
     # the message it gives when nothing was seen before.
     @pytest.mark.parametrize("good, bad, message", [
         (1, True, "profile [0, 1], player 1: boolean is not a rational"),
-        (2, 2.0, "profile [0, 1], player 1: floating-point payoffs are not allowed, "
+        (2, 2.0, "profile [0, 1], player 1: floating-point values are not allowed, "
                  "use an integer or a 'num/den' string"),
         (0, [0], "profile [0, 1], player 1: cannot read a rational from [0]"),
     ], ids=["true-after-1", "2.0-after-2", "list-after-0"])
@@ -188,14 +206,15 @@ class TestParseOncePerValue:
         doc = {"players": 4, "strategies": [["a", "b", "c", "d", "e"]] * 4,
                "payoffs": [{"profile": list(p), "u": [str(x) for x in vec]}
                            for p, vec in table.items()]}
+        expected = Game((5,) * 4, table)
         calls = []
-        real = gamefile._parse_rational
+        real = game_module.rational
 
-        def counted(value, where):
+        def counted(value):
             calls.append(value)
-            return real(value, where)
-        monkeypatch.setattr(gamefile, "_parse_rational", counted)
-        assert parse_game(json.dumps(doc)) == Game((5,) * 4, table)
+            return real(value)
+        monkeypatch.setattr(game_module, "rational", counted)
+        assert parse_game(json.dumps(doc)) == expected
         assert sorted(calls) == ["0", "1", "2"]
 
     # Spellings of one rational that must all parse to it.
@@ -225,6 +244,8 @@ class TestParseOncePerValue:
             g = parse_game(json.dumps({"players": len(counts), "strategies": names,
                                        "payoffs": records}))
             assert g == Game(counts, table, names)
+            spelled = {tuple(r["profile"]): r["u"] for r in records}
+            assert Game(counts, spelled, names) == g
             assert all(g.payoff_vector(p) == vec for p, vec in table.items())
             assert parse_game(serialize_game(g)) == g
 
