@@ -1,13 +1,12 @@
 """Nash and Berge equilibrium checks, best supports, and game structure.
 
-Every check reduces the quantification over mixed deviations/complements to
-pure ones:
-
-* a player's own expected payoff is affine in their own probability vector,
-  so the best unilateral deviation is attained at a pure strategy;
-* the expected payoff is multilinear in the co-players' probability vectors,
-  so its maximum over the product of their simplices is attained at a pure
-  complement (vertex attainment).
+Take player i's payoffs as a matrix U (`Game.own_by_complement`), own
+strategies by complements, with own probabilities x and complement weights
+w, the products of the co-players' probabilities.  The realized payoff is
+xUw.  Nash asks whether some entry of the vector Uw beats it, Berge whether
+some entry of xU does: one check, on U or on its transpose.  Pure entries
+suffice, since the payoff is affine in x and multilinear in the co-players'
+vectors, so its maximum over their simplices is at a vertex.
 
 Verdicts therefore carry an exact *deficiency*: the largest gap any player
 (Nash) or any coalition of co-players (Berge) could close.  Deficiency 0 is
@@ -17,12 +16,13 @@ exact equality; there is no tolerance anywhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .game import (Game, MixedProfile, MixedStrategy, PureProfile, UnsupportedGameError,
-                   profiles)
+                   _mix, _numerators, _reduce, profiles)
 
 
 @dataclass(frozen=True)
@@ -54,42 +54,36 @@ class BestSupportResult:
     supports: tuple[tuple[int, ...], ...]
 
 
-def _co_counts(game: Game, player: int) -> tuple[int, ...]:
-    return tuple(m for j, m in enumerate(game.strategy_counts) if j != player)
-
-
-def _best_own_deviation(game: Game, profile: MixedProfile,
-                        player: int) -> tuple[Fraction, int]:
-    # The best deviation value and the first pure strategy attaining it.
-    values, den = game.contract(player, {j: s for j, s in enumerate(profile.strategies)
-                                         if j != player})
-    best = max(values)
-    return Fraction(best, den), values.index(best)
-
-
 def best_own_deviation_value(game: Game, profile: MixedProfile, player: int) -> Fraction:
     """Max payoff `player` can reach by unilateral deviation, holding the
     co-players fixed.  Equals the supremum over mixed deviations by affinity."""
     game.validate_profile(profile)
-    return _best_own_deviation(game, profile, player)[0]
+    values, den, _ = _reduce(game, profile, player, nash=True)
+    return Fraction(max(values), den)
 
 
-def _verdict(game: Game, profile: MixedProfile, best) -> EquilibriumVerdict:
-    # `best(player)` is (best reachable value, witness); the verdict's witness
-    # is the first player with the largest gap over the realized payoff.
+def _verdict(game: Game, profile: MixedProfile, nash: bool) -> EquilibriumVerdict:
+    # Per player, the best value over own strategies (Nash) or complements
+    # (Berge) less the realized payoff read off the same values.  The witness:
+    # the first player with the largest gap, and its first best move there.
     game.validate_profile(profile)
-    worst_gap = worst_witness = None
+    worst = None
     for player in range(game.player_count):
-        value, witness = best(player)
-        gap = value - game.expected_payoff(profile, player)
-        if worst_gap is None or gap > worst_gap:
-            worst_gap, worst_witness = gap, (player, witness)
-    return EquilibriumVerdict(worst_gap == 0, max(worst_gap, Fraction(0)), worst_witness)
+        values, den, (weights, d) = _reduce(game, profile, player, nash)
+        best = max(values)
+        gap = Fraction(best * d - sum(map(operator.mul, weights, values)), den * d)
+        if worst is None or gap > worst[0]:
+            worst = gap, player, values.index(best)
+    gap, player, k = worst
+    counts = game.strategy_counts
+    witness = k if nash else next(itertools.islice(
+        profiles(counts[:player] + counts[player + 1:]), k, None))
+    return EquilibriumVerdict(gap == 0, gap, (player, witness))
 
 
 def is_nash(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
     """Exact Nash check: no player gains by any unilateral (mixed) deviation."""
-    return _verdict(game, profile, lambda i: _best_own_deviation(game, profile, i))
+    return _verdict(game, profile, nash=True)
 
 
 def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSupportResult:
@@ -97,22 +91,20 @@ def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSuppor
     every maximizer.  By multilinearity this bounds all mixed complements."""
     if len(strategy) != game.strategy_counts[player]:
         raise ValueError("strategy does not match the player's strategy count")
-    values, den = game.contract(player, {player: strategy})
+    rows, den = game.own_by_complement(player)
+    own, d = _numerators([strategy])
+    values = _mix(own, rows)
     best = max(values)
+    counts = game.strategy_counts
     supports = tuple(complement for complement, u
-                     in zip(profiles(_co_counts(game, player)), values) if u == best)
-    return BestSupportResult(player, Fraction(best, den), supports)
-
-
-def _best_complement(game: Game, profile: MixedProfile, player: int) -> tuple[Fraction, tuple]:
-    result = best_support(game, player, profile[player])
-    return result.value, result.supports[0]
+                     in zip(profiles(counts[:player] + counts[player + 1:]), values) if u == best)
+    return BestSupportResult(player, Fraction(best, den * d), supports)
 
 
 def is_berge(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
     """Exact Berge check (in the sense of Zhukovskii): no coalition of all
     co-players of any player can raise that player's payoff."""
-    return _verdict(game, profile, lambda i: _best_complement(game, profile, i))
+    return _verdict(game, profile, nash=False)
 
 
 def berge_deficiency(game: Game, profile: MixedProfile) -> Fraction:

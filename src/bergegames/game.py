@@ -8,8 +8,10 @@ over one common denominator (the lcm of all payoff denominators: at most
 `digit_limit()` digits long, and the payoff count times its digits at most
 `1000 * digit_limit()`), and mixed strategies enter as integer numerators
 over their own common denominator; the kernel then needs no gcd until a
-result leaves it as a `Fraction`.  All objects are immutable after
-construction and all operations are pure functions.
+result leaves it as a `Fraction`.  Every mixed reduction reads player i's
+payoffs as one matrix, own strategies by complements, that
+`Game.own_by_complement(i)` builds on demand.  All objects are immutable
+after construction and all operations are pure functions.
 
 Conventions: players and strategies are 0-based; a pure profile is a tuple
 of strategy indices, one per player; the payoff tensor is stored row-major
@@ -47,30 +49,41 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
-def _axis_rows(values: Sequence[int], counts: Sequence[int], axis: int) -> Iterator[list]:
-    # Split a row-major tensor of shape `counts` along `axis`: for each index
-    # of the axes before it, the `counts[axis]` slices along `axis`, each one
-    # row-major over the axes after it.
-    m = counts[axis]
-    inner = math.prod(counts[axis + 1:])
-    for base in range(0, len(values), m * inner):
-        yield [values[base + a * inner: base + (a + 1) * inner] for a in range(m)]
+def _by_axis(values: Sequence, counts: Sequence[int], axis: int) -> list[Sequence]:
+    # Per index on `axis` of a row-major tensor of shape `counts`, the entries there, in order.
+    m, inner = counts[axis], math.prod(counts[axis + 1:])
+    if m * inner == len(values):   # one block: each row is a slice
+        return [values[a * inner:(a + 1) * inner] for a in range(m)]
+    return [list(itertools.chain.from_iterable([values[base + a * inner: base + (a + 1) * inner]
+                                                for base in range(0, len(values), m * inner)]))
+            for a in range(m)]
 
 
-def _contract_axis(values: Sequence[int], counts: Sequence[int], axis: int,
-                   weights: Sequence[int]) -> list[int]:
-    # The tensor with `axis` summed out against `weights`: the sum over `a`
-    # of weights[a] times the slice at index `a`, row-major over the other axes.
-    out = []
-    for rows in _axis_rows(values, counts, axis):
-        out.extend(sum(map(operator.mul, weights, column)) for column in zip(*rows))
-    return out
+def _mix(weights: Sequence[int], rows) -> list[int]:
+    # The sum of the rows weighted by `weights`, entry by entry.
+    return [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
 
 
-def _numerators(strategy: "MixedStrategy") -> tuple[tuple[int, ...], int]:
-    # The probabilities as integer numerators over their common denominator.
-    den = math.lcm(*(p.denominator for p in strategy.probs))
-    return tuple(p.numerator * (den // p.denominator) for p in strategy.probs), den
+def _numerators(strategies: Sequence["MixedStrategy"]) -> tuple[list[int], int]:
+    # The joint probabilities of independent strategies at their pure profiles,
+    # lexicographic, as int numerators over the product of their denominators.
+    nums, den = [1], 1
+    for strategy in strategies:
+        d = math.lcm(*(p.denominator for p in strategy.probs))
+        nums = [u * p.numerator * (d // p.denominator) for u in nums for p in strategy.probs]
+        den *= d
+    return nums, den
+
+
+def _reduce(game: "Game", profile: "MixedProfile", player: int, nash: bool):
+    # The player's matrix summed out against the complements (Nash: a value per
+    # own strategy) or the own strategy (Berge: a value per complement), ints
+    # over the denominator returned, and the side left as (numerators, den).
+    rows, den = game.own_by_complement(player)
+    own = _numerators(profile.strategies[player:player + 1])
+    co = _numerators(profile.strategies[:player] + profile.strategies[player + 1:])
+    (first, d_first), other = (co, own) if nash else (own, co)
+    return _mix(first, zip(*rows) if nash else rows), den * d_first, other
 
 
 def _clip(text: str) -> str:
@@ -116,6 +129,8 @@ class MixedStrategy:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not isinstance(self.probs, (list, tuple)):
+            raise TypeError("probabilities must be a list or tuple")
         probs = tuple(map(rational, self.probs))
         if not probs:
             raise ValueError("a mixed strategy needs at least one pure strategy")
@@ -187,7 +202,9 @@ class Game:
     """
 
     def __init__(self, strategy_counts: Sequence[int], table, strategy_names=None):
-        counts = tuple(int(m) for m in strategy_counts)
+        counts = tuple(strategy_counts)
+        if any(type(m) is not int for m in counts):
+            raise TypeError(f"strategy counts must be integers, got {_clip(repr(counts))}")
         if not counts or any(m < 1 for m in counts):
             raise ValueError("every player needs at least one strategy")
         self._counts = counts
@@ -208,6 +225,8 @@ class Game:
                 vec = table[profile]
             except KeyError:
                 raise ValueError(f"missing payoff for profile {profile}") from None
+            if not isinstance(vec, (list, tuple)):
+                raise TypeError(f"payoff vector at {profile} must be a list or tuple")
             if len(vec) != n:
                 raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
             flat.extend(vec)
@@ -296,36 +315,27 @@ class Game:
         index = self._index(profile)
         return tuple(Fraction(values[index], self._scale) for values in self._tensors)
 
-    def contract(self, player: int, strategies) -> tuple[list[int], int]:
-        """The player's payoff tensor with the axes in `strategies` (a mapping
-        from player to MixedStrategy) summed out against those strategies:
-        the int values over the remaining axes, in the lexicographic order of
-        their pure profiles, and the common denominator they are over.
-        Callers validate the strategies."""
-        values, counts, den = self._tensors[player], list(self._counts), self._scale
-        for axis in sorted(strategies, reverse=True):
-            nums, d = _numerators(strategies[axis])
-            values = _contract_axis(values, counts, axis, nums)
-            del counts[axis]
-            den *= d
-        return values, den
+    def own_by_complement(self, player: int) -> tuple[list[Sequence[int]], int]:
+        """The player's payoffs as ints over the common denominator returned
+        with them: row `a` for own strategy `a`, entry `c` of a row for the
+        c-th complement (co-players in increasing order), lexicographic."""
+        if not 0 <= player < self.player_count:
+            raise ValueError(f"player {player} out of range")
+        return _by_axis(self._tensors[player], self._counts, player), self._scale
 
     def attains_best(self, player: int, over_own: bool) -> list[bool]:
         """Per pure profile, in `pure_profiles()` order: is the player's payoff
         there the best among all profiles that share its complement
         (`over_own`: only the player's own strategy varies) or its own
         strategy (only the co-players' strategies vary)?"""
-        values, counts = self._tensors[player], self._counts
-        blocks = list(_axis_rows(values, counts, player))
-        if over_own:
-            best = []
-            for rows in blocks:
-                best.extend([max(column) for column in zip(*rows)] * len(rows))
-        else:
-            tops = [max(max(rows[own]) for rows in blocks) for own in range(counts[player])]
-            inner = len(blocks[0][0])
-            best = [u for u in tops for _ in range(inner)] * len(blocks)
-        return list(map(operator.eq, values, best))
+        rows, _ = self.own_by_complement(player)
+        m, inner = self._counts[player], math.prod(self._counts[player + 1:])
+        if over_own:   # per block of profiles, each column's best once per own strategy
+            tops = list(map(max, zip(*rows)))
+            best = [u for c in range(0, len(tops), inner) for u in tops[c:c + inner] * m]
+        else:   # each row's best, once per complement of the players after
+            best = [top for top in map(max, rows) for _ in range(inner)] * (len(rows[0]) // inner)
+        return list(map(operator.eq, self._tensors[player], best))
 
     def grid_payoffs(self, grids: Sequence[Sequence[Sequence[int]]],
                      resolution: int) -> tuple[int, Iterator]:
@@ -342,22 +352,19 @@ class Game:
         def walk(depth, tensors, indices):
             rest = self._counts[depth:]
             for index, point in enumerate(grids[depth]):
-                here = indices + (index,)
                 if depth < n - 1:
-                    yield from walk(depth + 1,
-                                    [_contract_axis(t, rest, 0, point) for t in tensors], here)
+                    yield from walk(depth + 1, [_mix(point, _by_axis(t, rest, 0)) for t in tensors],
+                                    indices + (index,))
                 else:   # one axis left: each tensor is a vector, its contraction a dot product
-                    yield here, [sum(map(operator.mul, point, t)) for t in tensors]
+                    yield indices + (index,), [sum(map(operator.mul, point, t)) for t in tensors]
 
         return self._scale * resolution ** n, walk(0, self._tensors, ())
 
     def expected_payoff(self, profile: MixedProfile, player: int) -> Fraction:
         """Exact expected payoff of `player` under a mixed profile."""
         self.validate_profile(profile)
-        if not 0 <= player < self.player_count:
-            raise ValueError(f"player {player} out of range")
-        (total,), den = self.contract(player, dict(enumerate(profile.strategies)))
-        return Fraction(total, den)
+        values, den, (weights, d) = _reduce(self, profile, player, nash=False)
+        return Fraction(sum(map(operator.mul, weights, values)), den * d)
 
     def point(self, profile: Sequence[int]) -> MixedProfile:
         """A pure profile embedded as a profile of point distributions."""

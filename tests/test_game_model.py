@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -74,6 +75,28 @@ class TestConstruction:
         assert g.payoff((0,), 0) == tiny
         with pytest.raises(ValueError, match="in all"):
             Game((1001,), {(i,): (tiny if i == 0 else i,) for i in range(1001)})
+
+    def test_payoff_vector_must_be_list_or_tuple(self):
+        # A str or a dict is sized and iterable, but is not a payoff vector:
+        # '37' is not the payoffs (3, 7), nor {'5': 0} the payoff 5.
+        with pytest.raises(TypeError, match="list or tuple"):
+            Game((1, 1), {(0, 0): '37'})
+        with pytest.raises(TypeError, match="list or tuple"):
+            Game((1,), {(0,): {'5': 0}})
+        assert Game((1, 1), {(0, 0): [3, 7]}).payoff_vector((0, 0)) == (3, 7)
+
+    def test_probabilities_must_be_list_or_tuple(self):
+        for probs in ('1', {'1': 0}, iter([1])):
+            with pytest.raises(TypeError, match="list or tuple"):
+                MixedStrategy(probs)
+        assert MixedStrategy([Fraction(1, 2), '1/2']).probs == (Fraction(1, 2),) * 2
+
+    def test_strategy_counts_must_be_ints(self):
+        # Neither truncated (2.9 to 2), nor read (True as 1, '2' as 2).
+        for counts in ((2.9, True), ('2',), (True,), (Fraction(2),)):
+            with pytest.raises(TypeError, match="strategy counts"):
+                Game(counts, {})
+        assert Game([2], {(0,): (0,), (1,): (1,)}).strategy_counts == (2,)
 
     def test_degenerate_game_ok(self):
         g = Game((1,), {(0,): (0,)})
@@ -186,3 +209,31 @@ class TestMultilinearity:
                 right = (lam * g.expected_payoff(profile.replace(j, t), i)
                          + (1 - lam) * g.expected_payoff(profile.replace(j, t2), i))
                 assert left == right
+
+
+class TestOwnByComplement:
+    def test_matches_payoff_on_random_games(self):
+        # Row a, entry c: the payoff at own strategy a and the c-th complement
+        # in lexicographic order, over the common denominator.  Counts of 1
+        # included, and 1-player games, whose only complement is ().
+        rng = random.Random(11)
+        shapes = [(1,), (3,), (1, 1), (2, 1), (1, 3), (1, 2, 1)]
+        shapes += [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))) for _ in range(30)]
+        for counts in shapes:
+            table = {p: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in counts)
+                     for p in itertools.product(*(range(m) for m in counts))}
+            g = Game(counts, table)
+            for i, m in enumerate(counts):
+                rows, den = g.own_by_complement(i)
+                co = [range(k) for j, k in enumerate(counts) if j != i]
+                complements = list(itertools.product(*co))
+                assert len(rows) == m
+                for a, row in enumerate(rows):
+                    assert len(row) == len(complements)
+                    for u, c in zip(row, complements):
+                        assert Fraction(u, den) == g.payoff(c[:i] + (a,) + c[i:], i)
+
+    def test_player_out_of_range(self, eq5):
+        for player in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                eq5.own_by_complement(player)

@@ -59,6 +59,31 @@ def oracle_deficiency(game, profile, kind):
     return max(max(gaps), Fraction(0))
 
 
+def oracle_witness(game, profile, kind):
+    # The lowest player with the largest gap, and there the first own
+    # strategy (Nash) or the lexicographically first complement (Berge)
+    # attaining the best value, from the plain weighted sum.
+    best_moves = []
+    for i, m in enumerate(game.strategy_counts):
+        realized = oracle_expected_payoff(game, profile, i)
+        if kind == "nash":
+            moves = [(s, _with(profile, i, s)) for s in range(m)]
+        else:
+            co = [j for j in range(game.player_count) if j != i]
+            moves = []
+            for complement in itertools.product(*(range(game.strategy_counts[j]) for j in co)):
+                moved = profile
+                for j, s in zip(co, complement):
+                    moved = _with(moved, j, s)
+                moves.append((complement, moved))
+        values = [(oracle_expected_payoff(game, q, i), move) for move, q in moves]
+        best = max(v for v, _ in values)
+        best_moves.append((best - realized, next(move for v, move in values if v == best)))
+    worst = max(gap for gap, _ in best_moves)
+    player = next(i for i, (gap, _) in enumerate(best_moves) if gap == worst)
+    return player, best_moves[player][1]
+
+
 @PROPERTY
 @given(games())
 def test_serialize_parse_round_trip(game):
@@ -91,3 +116,11 @@ def test_berge_is_nash_of_swapped_game(case):
     # Player i's Berge gap is the co-player's Nash gap once payoffs swap.
     game, profile = case
     assert is_berge(game, profile).deficiency == is_nash(swap_payoffs_2p(game), profile).deficiency
+
+
+@PROPERTY
+@given(games_with_profiles(players=st.integers(1, 4)))
+def test_worst_witness_matches_oracle(case):
+    game, profile = case
+    assert is_nash(game, profile).worst_witness == oracle_witness(game, profile, "nash")
+    assert is_berge(game, profile).worst_witness == oracle_witness(game, profile, "berge")
