@@ -9,7 +9,7 @@ from .equilibria import (BestSupportResult, EquilibriumVerdict,
                          enumerate_pure_nash, is_berge, is_nash,
                          is_pareto_optimal_pure, own_payoff_independent,
                          swap_payoffs_2p)
-from .search import (CoordinateConflict, ExistenceCertificate, Face,
+from .search import (Box, CoordinateConflict, ExistenceCertificate,
                      best_support_graph_222, decide_berge_existence_oi222,
                      grid_search_min_deficiency, simplex_grid)
 from .gamefile import (GameFormatError, BUILTIN_NAMES, builtin, builtin_game,
@@ -22,7 +22,7 @@ __all__ = [
     "best_own_deviation_value", "best_support", "constant_sum",
     "enumerate_pure_berge", "enumerate_pure_nash", "is_berge", "is_nash",
     "is_pareto_optimal_pure", "own_payoff_independent", "swap_payoffs_2p",
-    "CoordinateConflict", "ExistenceCertificate", "Face",
+    "Box", "CoordinateConflict", "ExistenceCertificate",
     "best_support_graph_222", "decide_berge_existence_oi222",
     "grid_search_min_deficiency", "simplex_grid",
     "GameFormatError", "BUILTIN_NAMES", "builtin", "builtin_game", "load_game",

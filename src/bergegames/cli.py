@@ -23,16 +23,12 @@ from .gamefile import BUILTIN_NAMES, GameFormatError, builtin, format_rational, 
 COORD_NAMES = ("p", "q", "r")
 
 
-def _profile_str(game: Game, profile) -> str:
-    return " ".join(game.name_of(profile))
-
-
-def _strategy_str(strategy: MixedStrategy) -> str:
-    return "(" + ",".join(format_rational(p) for p in strategy.probs) + ")"
+def _tuple_str(items) -> str:
+    return "(" + ",".join(map(str, items)) + ")"
 
 
 def _mixed_profile_str(profile: MixedProfile) -> str:
-    return " ".join(_strategy_str(s) for s in profile.strategies)
+    return " ".join(_tuple_str(map(format_rational, s.probs)) for s in profile.strategies)
 
 
 def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
@@ -77,7 +73,7 @@ def _cmd_enumerate(args, kind: str) -> int:
     finder = equilibria.enumerate_pure_nash if kind == "nash" else equilibria.enumerate_pure_berge
     profiles = finder(game)
     for profile in profiles:
-        print(_profile_str(game, profile))
+        print(" ".join(game.name_of(profile)))
     print(f"count: {len(profiles)}")
     return 0
 
@@ -104,25 +100,38 @@ def _cmd_check(args) -> int:
     return 0 if verdict.is_equilibrium else 3
 
 
-def _graph_lines(graphs):
-    for j, graph in enumerate(graphs):
-        yield f"player {j + 1}: {' '.join(map(search.face_str, graph))}"
+def _coordinate(game: Game, player: int, strategies):
+    # A player's set of a box: "*" when it holds every strategy, else a
+    # 2-strategy player's first-strategy probability, else strategy names.
+    names = game.strategy_names[player]
+    if len(strategies) == len(names):
+        return "*"
+    if len(names) == 2:
+        return 1 - strategies[0]
+    return "{" + ",".join(names[i] for i in strategies) + "}"
+
+
+def _box_coordinates(game: Game, graphs) -> list:
+    # Each graph's boxes, each box as its list of coordinates.
+    return [[[_coordinate(game, j, s) for j, s in enumerate(box)] for box in graph]
+            for graph in graphs]
 
 
 def _cmd_decide_berge(args) -> int:
     game = load_game(args.file)
     cert = search.decide_berge_existence_oi222(game)
     print(f"outcome: {'exists' if cert.exists else 'not-exists'}")
-    for line in _graph_lines(cert.per_player_graphs):
-        print(line)
+    for j, graph in enumerate(_box_coordinates(game, cert.per_player_graphs)):
+        print(f"player {j + 1}: {' '.join(map(_tuple_str, graph))}")
     if cert.exists:
         print(f"witness: {_mixed_profile_str(cert.witness)}")
         return 0
     if cert.conflict is not None:
         c = cert.conflict
-        print(f"conflict: coordinate {COORD_NAMES[c.coordinate]} is fixed to 0 by "
-              f"player {c.player_forcing_zero + 1} and to 1 by "
-              f"player {c.player_forcing_one + 1}")
+        j, (k, l), (a, b) = c.coordinate, c.players, c.strategies
+        name = COORD_NAMES[j] if game.player_count <= len(COORD_NAMES) else f"x{j + 1}"
+        print(f"conflict: coordinate {name} is fixed to {_coordinate(game, j, a)} by "
+              f"player {k + 1} and to {_coordinate(game, j, b)} by player {l + 1}")
     return 3
 
 
@@ -134,27 +143,23 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _face_json(face):
-    return ["*" if c is None else c for c in face]
-
-
 def _cmd_bsg(args) -> int:
     game = load_game(args.file)
-    graphs = search.best_support_graph_222(game)
+    faces = _box_coordinates(game, search.best_support_graph_222(game))
     # Each face sampled on a grid of step 1/20 in its free coordinates.
     ticks = [Fraction(t, 20) for t in range(21)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["player", "p", "q", "r", "face"])
-        for j, graph in enumerate(graphs):
+        for j, graph in enumerate(faces):
             for face in graph:
-                axes = [ticks if c is None else [Fraction(c)] for c in face]
+                axes = [ticks if c == "*" else [Fraction(c)] for c in face]
                 for point in itertools.product(*axes):
                     writer.writerow([j + 1, *(format_rational(x) for x in point),
-                                     search.face_str(face)])
+                                     _tuple_str(face)])
     sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".json"
-    payload = {"players": [{"player": j + 1, "faces": [_face_json(f) for f in graph]}
-                           for j, graph in enumerate(graphs)]}
+    payload = {"players": [{"player": j + 1, "faces": graph}
+                           for j, graph in enumerate(faces)]}
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out} and {sidecar}")
@@ -191,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("nash", "berge"))
 
     p = sub.add_parser("decide-berge",
-                       help="exact mixed Berge existence for own-payoff-independent "
-                            "2x2x2 games")
+                       help="exact mixed Berge existence for own-payoff-independent games")
     p.add_argument("file")
 
     p = sub.add_parser("search", help="exact Berge-deficiency grid search")

@@ -1,21 +1,21 @@
-"""Mixed-strategy Berge existence for own-payoff-independent 2x2x2 games,
-plus an exact grid search over simplex grids for general small games.
+"""Mixed-strategy Berge existence for own-payoff-independent games of every
+shape, plus an exact grid search over simplex grids for general small games.
 
-In a 2x2x2 game in which no player can influence their own payoff, player
-i's expected payoff is multilinear in the co-players' probabilities alone,
-so its maximizers over the cube form the union of the faces all of whose
-vertices are pure profiles where player i's payoff is their best.  The
-graph of player i's best-support correspondence is therefore spanned by
-that set of best pure profiles, and the meet of the three graphs by the
-intersection of the three sets, the pure Berge equilibria: a mixed profile
-is Berge exactly when every pure profile of its support box is.  Graphs and
-meet are plain tuples of their maximal faces in a fixed order.  A nonempty
-meet yields a witness that is re-verified, while an empty one yields a
-coordinate conflict certificate where the graphs force one.
+If no player can influence their own payoff, a mixed profile makes the
+co-players best for player i exactly when every pure profile of its support
+box pays player i their best.  A box is one nonempty set of strategies per
+player; its pure profiles are their product.  Player i's best-support graph
+is the union of the boxes all of whose pure profiles pay i their best, and
+the meet of the graphs, the Berge set, that of the boxes all of whose pure
+profiles are pure Berge: mixed Berge exists iff pure Berge does.  Graphs and
+meet are tuples of their maximal boxes in a fixed order.  A nonempty meet
+yields a witness that is re-verified, and an empty one a conflict
+certificate where two graphs give a player disjoint sets of strategies.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -27,115 +27,110 @@ from typing import Iterator, Optional
 from . import equilibria
 from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError
 
-# A face of [0,1]^d: per coordinate either a fixed value 0/1 or None (free).
-Face = tuple[Optional[int], ...]
+# One nonempty ascending tuple of strategy indices per player.
+Box = tuple[tuple[int, ...], ...]
+
+# The most boxes a game may have, prod(2^m_j - 1) over its strategy counts.
+MAX_BOXES = 4096
 
 
-def face_str(face: Face) -> str:
-    return "(" + ",".join("*" if c is None else str(c) for c in face) + ")"
+@functools.lru_cache(maxsize=8)
+def _boxes(counts: tuple[int, ...]) -> tuple[tuple[Box, frozenset], ...]:
+    # Every box of this shape with the positions of its pure profiles in
+    # `Game.pure_profiles()` (ints, not tuples as long as the player count),
+    # by descending key: each player's set read as a bitmask, strategy 0 the
+    # high bit, compared lexicographically.  A box has a greater key than
+    # every box inside it.
+    sets = [[tuple(i for i in range(m) if mask >> (m - 1 - i) & 1)
+             for mask in range(2 ** m - 1, 0, -1)] for m in counts]
+    strides = [math.prod(counts[j + 1:]) for j in range(len(counts))]
+    table = []
+    for box in itertools.product(*sets):
+        offsets = ([i * d for i in s] for s, d in zip(box, strides))
+        table.append((box, frozenset(map(sum, itertools.product(*offsets)))))
+    return tuple(table)
 
 
-def face_contains(outer: Face, inner: Face) -> bool:
-    """inner is a subface of outer."""
-    return all(o is None or o == i for o, i in zip(outer, inner))
-
-
-def _require_oi222(game: Game):
-    if game.strategy_counts != (2, 2, 2):
-        raise UnsupportedGameError(
-            f"requires a 2x2x2 game, got shape {game.strategy_counts}")
-    flags = equilibria.own_payoff_independent(game)
-    for player, ok in enumerate(flags):
-        if not ok:
-            raise UnsupportedGameError(
-                f"player {player + 1} can influence their own payoff")
-
-
-# Every face of the cube with its vertices as pure profiles, in descending
-# order of the key that reads a free coordinate as 2: coordinate 1 is
-# strategy index 0, coordinate 0 is index 1, and a free coordinate takes
-# both.  A face has a greater key than every face inside it.
-_CUBE_FACES = tuple(
-    (face, tuple(itertools.product(*((0, 1) if c is None else (1 - c,) for c in face))))
-    for face in sorted(itertools.product((0, 1, None), repeat=3),
-                       key=lambda f: tuple(2 if c is None else c for c in f), reverse=True))
-
-
-def _faces_within(pure: set) -> tuple[Face, ...]:
-    # The maximal faces of the cube whose vertices are all in `pure`, in
-    # ascending key order.  Each face is seen before the faces inside it, so
-    # skipping a face inside one already taken leaves only maximal faces.
-    faces = []
-    for face, vertices in _CUBE_FACES:
-        if pure.issuperset(vertices) and not any(face_contains(f, face) for f in faces):
-            faces.append(face)
-    return tuple(reversed(faces))
+def _boxes_within(counts: tuple[int, ...], pure: set) -> tuple[Box, ...]:
+    # The maximal boxes all of whose pure profiles have their positions in
+    # `pure`, in ascending key order.  Each box is seen before the boxes inside it, so
+    # skipping a box inside one already taken leaves only maximal boxes.
+    boxes, taken = [], []
+    for box, vertices in _boxes(counts):
+        if vertices <= pure and not any(vertices <= t for t in taken):
+            boxes.append(box)
+            taken.append(vertices)
+    return tuple(reversed(boxes))
 
 
 def _best_profiles(game: Game) -> list[set]:
-    # Per player, the pure profiles where their payoff is their best.
-    _require_oi222(game)
-    return [set(itertools.compress(game.pure_profiles(),
+    # Per player, the positions of the pure profiles where their payoff is
+    # their best, for an OI game within the box cap, checked first.
+    if math.prod(2 ** m - 1 for m in game.strategy_counts) > MAX_BOXES:
+        raise UnsupportedGameError(f"shape {game.strategy_counts} has more than "
+                                   f"{MAX_BOXES} boxes of strategy sets")
+    for player, ok in enumerate(equilibria.own_payoff_independent(game)):
+        if not ok:
+            raise UnsupportedGameError(f"player {player + 1} can influence their own payoff")
+    return [set(itertools.compress(itertools.count(),
                                    game.attains_best(player, over_own=False)))
-            for player in range(3)]
+            for player in range(game.player_count)]
 
 
-def best_support_graph_222(game: Game) -> tuple[tuple[Face, ...], ...]:
-    """Per player, the graph of the best-support correspondence as its
-    maximal faces of the cube, coordinates being each player's
-    first-strategy probability: the faces spanned by the pure profiles where
-    the player's payoff is their best."""
-    return tuple(map(_faces_within, _best_profiles(game)))
+def best_support_graph_222(game: Game) -> tuple[tuple[Box, ...], ...]:
+    """Per player of an own-payoff-independent 2x2x2 game, the graph of the
+    best-support correspondence as its maximal boxes: the boxes spanned by
+    the pure profiles where the player's payoff is their best."""
+    if game.strategy_counts != (2, 2, 2):
+        raise UnsupportedGameError(
+            f"requires a 2x2x2 game, got shape {game.strategy_counts}")
+    return tuple(_boxes_within(game.strategy_counts, best) for best in _best_profiles(game))
 
 
 @dataclass(frozen=True)
 class CoordinateConflict:
-    """A coordinate one player's graph forces to 0 while another forces
-    it to 1; proof that the graphs cannot intersect."""
+    """Two graphs, of `players`, that give the player at `coordinate` the
+    disjoint `strategies` (in the same order), each the union of that
+    player's sets over the graph's boxes: the graphs cannot intersect."""
 
     coordinate: int
-    player_forcing_zero: int
-    player_forcing_one: int
+    players: tuple[int, int]
+    strategies: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class ExistenceCertificate:
     exists: bool
     witness: Optional[MixedProfile]
-    per_player_graphs: tuple[tuple[Face, ...], ...]
+    per_player_graphs: tuple[tuple[Box, ...], ...]
     conflict: Optional[CoordinateConflict]
 
 
-def _witness_from_face(face: Face) -> MixedProfile:
-    # Free coordinates completed with 1/2; coordinate = prob of strategy 0.
-    strategies = []
-    for c in face:
-        x = Fraction(1, 2) if c is None else Fraction(c)
-        strategies.append(MixedStrategy((x, 1 - x)))
-    return MixedProfile(tuple(strategies))
-
-
 def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
-    """Exact existence decision for own-payoff-independent 2x2x2 games:
-    Berge equilibria are precisely the points common to the three
-    best-support graphs, the faces spanned by the pure Berge equilibria."""
+    """Exact existence decision for own-payoff-independent games of every
+    shape within `MAX_BOXES`: the Berge equilibria, the points common to the
+    best-support graphs, are the boxes spanned by the pure Berge equilibria."""
+    counts = game.strategy_counts
     best = _best_profiles(game)
-    graphs = tuple(map(_faces_within, best))
-    meet = _faces_within(set.intersection(*best))
+    graphs = tuple(_boxes_within(counts, b) for b in best)
+    meet = _boxes_within(counts, set.intersection(*best))
     if meet:
-        witness = _witness_from_face(meet[0])
+        # Each player uniform over their set of the first box.
+        witness = MixedProfile(tuple(
+            MixedStrategy(tuple(Fraction(int(i in s), len(s)) for i in range(m)))
+            for s, m in zip(meet[0], counts)))
         if not equilibria.is_berge(game, witness).is_equilibrium:
             raise RuntimeError("witness failed exact re-verification")
         return ExistenceCertificate(True, witness, graphs, None)
-    conflict = None
-    for coord in range(3):
-        # Per player, the values the graph's faces give the coordinate:
-        # {0} or {1} when the graph forces it.
-        fixed = [{f[coord] for f in graph} for graph in graphs]
-        if {0} in fixed and {1} in fixed:
-            conflict = CoordinateConflict(coord, fixed.index({0}), fixed.index({1}))
-            break
-    return ExistenceCertificate(False, None, graphs, conflict)
+    for j in range(game.player_count):
+        # Per graph, the union of its boxes' sets for player j.  The first
+        # disjoint pair (k, l), k's set starting later, is the conflict.
+        unions = [tuple(sorted({i for box in graph for i in box[j]})) for graph in graphs]
+        for (k, a), (l, b) in itertools.product(enumerate(unions), repeat=2):
+            if a[0] > b[0] and set(a).isdisjoint(b):
+                return ExistenceCertificate(
+                    False, None, graphs, CoordinateConflict(j, (k, l), (a, b)))
+    return ExistenceCertificate(False, None, graphs, None)
 
 
 def _grid_numerators(size: int, resolution: int) -> Iterator[tuple[int, ...]]:

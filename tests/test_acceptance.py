@@ -8,8 +8,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from bergegames import (MixedProfile, MixedStrategy, best_support, builtin,
-                        constant_sum, decide_berge_existence_oi222,
+from bergegames import (CoordinateConflict, MixedProfile, MixedStrategy,
+                        best_support, builtin, constant_sum,
+                        decide_berge_existence_oi222,
                         enumerate_pure_berge, enumerate_pure_nash,
                         grid_search_min_deficiency, is_berge, is_nash,
                         is_pareto_optimal_pure, own_payoff_independent,
@@ -44,10 +45,13 @@ def test_criterion_2_no_mixed_berge(tmp_path, capsys, eq5):
     out = capsys.readouterr().out
     cert = decide_berge_existence_oi222(eq5)
     graphs, c = cert.per_player_graphs, cert.conflict
-    graphs_ok = graphs == (((None, 1, 1),), ((1, None, 0),), ((0, 0, None),))
-    conflict_ok = c is not None and (
-        {f[c.coordinate] for f in graphs[c.player_forcing_zero]} == {0}
-        and {f[c.coordinate] for f in graphs[c.player_forcing_one]} == {1})
+    graphs_ok = graphs == ((((0, 1), (0,), (0,)),), (((0,), (0, 1), (1,)),),
+                           (((1,), (1,), (0, 1)),))
+    # Player 3's graph restricts p to strategy 2 (p = 0), player 2's to
+    # strategy 1 (p = 1): each set is the union of that graph's sets for p.
+    conflict_ok = c == CoordinateConflict(0, (2, 1), ((1,), (0,))) and all(
+        {i for box in graphs[k] for i in box[0]} == set(s)
+        for k, s in zip(c.players, c.strategies))
     ok = (code == 3 and "outcome: not-exists" in out
           and not cert.exists and graphs_ok and conflict_ok)
     report(2, "decide-berge(eq5): not-exists, graphs are the three cube edges, "

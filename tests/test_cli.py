@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -174,6 +175,58 @@ class TestDecideBerge:
         code, _, err = run(capsys, "decide-berge", pd_file)
         assert code == 2
         assert "unsupported" in err
+
+
+def _shape_doc(names, payoff):
+    # A game document over these strategy names, payoff(profile) its vector.
+    profiles = itertools.product(*(range(len(ns)) for ns in names))
+    return json.dumps({"players": len(names), "strategies": names,
+                       "payoffs": [{"profile": list(p), "u": payoff(p)} for p in profiles]})
+
+
+class TestDecideBergeAnyShape:
+    @pytest.mark.parametrize("names, payoff, expected_code, expected_out", [
+        # Player 1 is best when B plays B1 or B3, player 2 when A plays A2.
+        ([["A1", "A2"], ["B1", "B2", "B3"], ["C1", "C2", "C3"]],
+         lambda p: [int(p[1] != 1), int(p[0] == 1), 0], 0,
+         "outcome: exists\n"
+         "player 1: (*,{B1,B3},*)\n"
+         "player 2: (0,*,*)\n"
+         "player 3: (*,*,*)\n"
+         "witness: (0,1) (1/2,0,1/2) (1/3,1/3,1/3)\n"),
+        # Players 2 and 3 want player 1 on disjoint sets of strategies.
+        ([["A1", "A2", "A3"], ["B1"], ["C1"]],
+         lambda p: [0, int(p[0] == 0), int(p[0] != 0)], 3,
+         "outcome: not-exists\n"
+         "player 1: (*,*,*)\n"
+         "player 2: ({A1},*,*)\n"
+         "player 3: ({A2,A3},*,*)\n"
+         "conflict: coordinate p is fixed to {A2,A3} by player 3 and to {A1} by player 2\n"),
+        # The conflicting player comes after three 1-strategy players.
+        ([["A1"], ["B1"], ["C1"], ["D1", "D2"], ["E1", "E2"]],
+         lambda p: [int(p[3] == 1), int(p[3] == 0), 0, 0, 0], 3,
+         "outcome: not-exists\n"
+         "player 1: (*,*,*,0,*)\n"
+         "player 2: (*,*,*,1,*)\n"
+         "player 3: (*,*,*,*,*)\n"
+         "player 4: (*,*,*,*,*)\n"
+         "player 5: (*,*,*,*,*)\n"
+         "conflict: coordinate x4 is fixed to 0 by player 1 and to 1 by player 2\n"),
+    ], ids=["names", "name-conflict", "fifth-player"])
+    def test_full_output(self, capsys, tmp_path, names, payoff, expected_code, expected_out):
+        path = tmp_path / "game.json"
+        path.write_text(_shape_doc(names, payoff))
+        code, out, err = run(capsys, "decide-berge", str(path))
+        assert (code, out, err) == (expected_code, expected_out, "")
+
+    def test_over_the_box_cap(self, capsys, tmp_path):
+        # 2^13 - 1 boxes of player 2's strategies exceed the cap of 4096.
+        path = tmp_path / "wide.json"
+        path.write_text(_shape_doc([["A1"], [f"B{i}" for i in range(1, 14)]],
+                                   lambda p: [0, 0]))
+        code, out, err = run(capsys, "decide-berge", str(path))
+        assert (code, out) == (2, "")
+        assert err == "unsupported: shape (1, 13) has more than 4096 boxes of strategy sets\n"
 
 
 class TestSearch:

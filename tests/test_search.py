@@ -6,24 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import (Game, MixedProfile, MixedStrategy,
+from bergegames import (CoordinateConflict, Game, MixedProfile, MixedStrategy,
                         UnsupportedGameError, berge_deficiency, best_support,
                         best_support_graph_222, decide_berge_existence_oi222,
                         enumerate_pure_berge, equilibria, grid_search_min_deficiency,
                         is_berge, simplex_grid)
-from bergegames.search import _faces_within, face_contains
+from bergegames import search
+from bergegames.search import MAX_BOXES, _boxes_within
 
-from conftest import random_game, random_rational_table
+from conftest import oracle_pure_berge, random_game, random_rational_table
 
 
 def F(x, y=1):
     return Fraction(x, y)
-
-
-class TestFaces:
-    def test_contains(self):
-        assert face_contains((None, 1, None), (0, 1, 1))
-        assert not face_contains((0, 1, 1), (None, 1, None))
 
 
 def _oi_game(forms):
@@ -41,34 +36,44 @@ def _bilinear(a, b, c, d):
     return lambda q, r: a * q * r + b * q + c * r + d
 
 
+# A box of a 2x2x2 game read in first-strategy probabilities: the set (0,)
+# is the value 1, (1,) the value 0, and (0, 1) the free coordinate.
+ONE, ZERO, FREE = (0,), (1,), (0, 1)
+
+
+def _coords_222(box, ticks):
+    # The points of a 2x2x2 box on a grid of first-strategy probabilities.
+    return itertools.product(*(ticks if s == FREE else [F(1 - s[0])] for s in box))
+
+
 class TestBestSupportGraph:
-    @pytest.mark.parametrize("form, value, faces", [
-        (_bilinear(0, 1, 1, 0), 2, [(None, 1, 1)]),
-        (_bilinear(0, 1, 0, 0), 1, [(None, 1, None)]),
-        (_bilinear(1, -1, -1, 0), 0, [(None, 0, 0)]),
-        (_bilinear(0, 0, 0, 5), 5, [(None, None, None)]),
+    @pytest.mark.parametrize("form, value, boxes", [
+        (_bilinear(0, 1, 1, 0), 2, [(FREE, ONE, ONE)]),
+        (_bilinear(0, 1, 0, 0), 1, [(FREE, ONE, FREE)]),
+        (_bilinear(1, -1, -1, 0), 0, [(FREE, ZERO, ZERO)]),
+        (_bilinear(0, 0, 0, 5), 5, [(FREE, FREE, FREE)]),
     ], ids=["sum", "q_only", "saddle", "constant"])
-    def test_player1_faces_of_form(self, form, value, faces):
+    def test_player1_faces_of_form(self, form, value, boxes):
         # Player 1's payoff at the co-player corners is the bilinear form in
         # (q, r), the first-strategy probabilities of players 2 and 3.
         game = _oi_game([form, _bilinear(0, 0, 0, 0), _bilinear(0, 0, 0, 0)])
         graph = best_support_graph_222(game)[0]
-        assert graph == tuple(faces)
+        assert graph == tuple(boxes)
         for own in (MixedStrategy((1, 0)), MixedStrategy((F(1, 3), F(2, 3)))):
             assert best_support(game, 0, own).value == value
 
     def test_eq5_edges(self, eq5):
         g1, g2, g3 = best_support_graph_222(eq5)
-        assert g1 == ((None, 1, 1),)
-        assert g2 == ((1, None, 0),)
-        assert g3 == ((0, 0, None),)
+        assert g1 == (((0, 1), (0,), (0,)),)
+        assert g2 == (((0,), (0, 1), (1,)),)
+        assert g3 == (((1,), (1,), (0, 1)),)
 
     def test_zero_game_full_cube(self, zero222):
         for graph in best_support_graph_222(zero222):
-            assert graph == ((None, None, None),)
+            assert graph == ((FREE, FREE, FREE),)
 
     def test_rejects_wrong_shape(self, pd):
-        with pytest.raises(UnsupportedGameError):
+        with pytest.raises(UnsupportedGameError, match="2x2x2"):
             best_support_graph_222(pd)
 
     def test_rejects_own_dependent_player(self):
@@ -85,16 +90,14 @@ class TestBestSupportGraph:
         for game in (eq5, sumgame222):
             graphs = best_support_graph_222(game)
             for i, graph in enumerate(graphs):
-                for face in graph:
-                    for point in itertools.product(*(ticks if c is None else [F(c)]
-                                                     for c in face)):
+                for box in graph:
+                    for point in _coords_222(box, ticks):
                         profile = _profile_from_coords(point)
                         realized = game.expected_payoff(profile, i)
                         assert realized == best_support(game, i, profile[i]).value
 
 
 def _profile_from_coords(coords):
-    from bergegames import MixedProfile, MixedStrategy
     return MixedProfile(tuple(MixedStrategy((x, 1 - x)) for x in coords))
 
 
@@ -103,13 +106,13 @@ class TestDecideExistence:
         cert = decide_berge_existence_oi222(eq5)
         assert not cert.exists
         assert cert.witness is None
-        assert cert.conflict is not None
-        # the named coordinate really is forced to opposite values
+        # p is fixed to 0 by player 3's graph and to 1 by player 2's: each
+        # named set is the union of that graph's sets for p, and they are
+        # disjoint.
         c = cert.conflict
-        zero_graph = cert.per_player_graphs[c.player_forcing_zero]
-        one_graph = cert.per_player_graphs[c.player_forcing_one]
-        assert {f[c.coordinate] for f in zero_graph} == {0}
-        assert {f[c.coordinate] for f in one_graph} == {1}
+        assert c == CoordinateConflict(0, (2, 1), ((1,), (0,)))
+        for k, s in zip(c.players, c.strategies):
+            assert {i for box in cert.per_player_graphs[k] for i in box[c.coordinate]} == set(s)
 
     def test_sumgame_exists(self, sumgame222):
         cert = decide_berge_existence_oi222(sumgame222)
@@ -123,28 +126,48 @@ class TestDecideExistence:
         assert is_berge(zero222, cert.witness).is_equilibrium
 
 
-def _on_face(face, point):
-    return all(c is None or c == x for c, x in zip(face, point))
+def _key(box, counts):
+    # Each player's set as a bitmask with strategy 0 as the high bit.
+    return tuple(sum(1 << (m - 1 - i) for i in s) for s, m in zip(box, counts))
 
 
-def _key(face):
-    return tuple(2 if c is None else c for c in face)
+def _inside(inner, outer):
+    return all(set(a) <= set(b) for a, b in zip(inner, outer))
 
 
-def _maximal_faces(vertices):
-    # Every face of the cube whose corners all lie in `vertices` (coordinate
-    # 1 is strategy index 0), keeping those inside no other, by ascending key.
-    faces = [face for face in itertools.product((0, 1, None), repeat=3)
-             if all(corner in vertices for corner in
-                    itertools.product(*((0, 1) if c is None else (1 - c,) for c in face)))]
-    return sorted((f for f in faces
-                   if not any(g != f and face_contains(g, f) for g in faces)), key=_key)
+def _maximal_boxes(counts, pure):
+    # Every box whose pure profiles all lie in `pure`, keeping those inside
+    # no other, by ascending key.
+    sets = [[s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
+            for m in counts]
+    boxes = [box for box in itertools.product(*sets)
+             if all(p in pure for p in itertools.product(*box))]
+    return sorted((b for b in boxes if not any(c != b and _inside(b, c) for c in boxes)),
+                  key=lambda b: _key(b, counts))
+
+
+def _positions(game, pure):
+    # The positions of these pure profiles in game.pure_profiles().
+    return {k for k, p in enumerate(game.pure_profiles()) if p in pure}
+
+
+def _first_conflict(graphs):
+    # The first player j, then the first pair of graphs (k, l), such that
+    # the union of graph k's sets for j and that of graph l's are disjoint
+    # and k's starts later; None if there is none.
+    for j in range(len(graphs[0][0])):
+        unions = [tuple(sorted({i for box in graph for i in box[j]})) for graph in graphs]
+        for k, l in itertools.product(range(len(graphs)), repeat=2):
+            a, b = unions[k], unions[l]
+            if min(a) > min(b) and not set(a) & set(b):
+                return CoordinateConflict(j, (k, l), (a, b))
+    return None
 
 
 class TestRandomOIGames:
     def test_graphs_and_decision_match_direct_checks(self):
         # Checked against best_support, expected_payoff and berge_deficiency
-        # at the 27 points of {0, 1/2, 1}^3, never against the face code.
+        # at the 27 points of {0, 1/2, 1}^3, never against the box code.
         # Small payoffs make ties common.
         rng = random.Random(89)
         points = list(itertools.product((F(0), F(1, 2), F(1)), repeat=3))
@@ -155,17 +178,15 @@ class TestRandomOIGames:
             graphs = best_support_graph_222(game)
             for point in points:
                 profile = _profile_from_coords(point)
+                # The point's support box: strategy 0 iff x > 0, 1 iff x < 1.
+                support = tuple(tuple(i for i, p in enumerate((x, 1 - x)) if p) for x in point)
                 for i, graph in enumerate(graphs):
                     best = best_support(game, i, profile[i]).value
-                    on_graph = any(_on_face(face, point) for face in graph)
+                    on_graph = any(_inside(support, box) for box in graph)
                     assert on_graph == (game.expected_payoff(profile, i) == best)
             pure_berge = enumerate_pure_berge(game)
-            meet = _faces_within(set(pure_berge))
-            assert list(meet) == _maximal_faces(pure_berge)
-            for faces in (*graphs, meet):
-                # No face lies inside another, and keys strictly ascend.
-                assert not any(g != f and face_contains(g, f) for f in faces for g in faces)
-                assert all(_key(f) < _key(g) for f, g in zip(faces, faces[1:]))
+            meet = _boxes_within((2, 2, 2), _positions(game, pure_berge))
+            assert list(meet) == _maximal_boxes((2, 2, 2), set(pure_berge))
             cert = decide_berge_existence_oi222(game)
             assert cert.per_player_graphs == graphs
             assert cert.exists == bool(pure_berge)
@@ -173,7 +194,91 @@ class TestRandomOIGames:
                                       for point in points)
             if cert.exists:
                 assert berge_deficiency(game, cert.witness) == 0
-                assert _on_face(meet[0], [s.probs[0] for s in cert.witness.strategies])
+                assert cert.conflict is None
+                # Uniform on the meet's first box.
+                assert cert.witness == MixedProfile(tuple(
+                    MixedStrategy(tuple(F(int(i in s), len(s)) for i in range(2)))
+                    for s in meet[0]))
+            else:
+                assert cert.conflict == _first_conflict(graphs)
+
+
+def _oi_random_game(rng, counts):
+    # An own-payoff-independent game: player i's payoff is drawn once per
+    # complement, from a few values so that ties are common.
+    n = len(counts)
+    draws = [{} for _ in range(n)]
+    table = {p: tuple(draws[i].setdefault(p[:i] + p[i + 1:], rng.choice((0, 0, 1, F(1, 2))))
+                      for i in range(n))
+             for p in itertools.product(*(range(m) for m in counts))}
+    return Game(counts, table)
+
+
+def _uniform_on(box, counts):
+    return MixedProfile(tuple(MixedStrategy(tuple(F(int(i in s), len(s)) for i in range(m)))
+                              for s, m in zip(box, counts)))
+
+
+class TestOIShapes:
+    @pytest.mark.parametrize("counts", [
+        (2, 2), (3, 2), (4, 3), (2, 3, 2), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2),
+        (1, 3, 2), (1, 1, 2, 2)], ids=lambda c: "x".join(map(str, c)))
+    def test_decision_matches_pure_berge_and_brute_force_boxes(self, counts):
+        # The Berge set of an OI game is the union of the boxes whose pure
+        # profiles are all pure Berge: checked at the uniform point of every
+        # box, and against boxes listed here by brute force.
+        rng = random.Random("x".join(map(str, counts)))
+        sets = [[s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
+                for m in counts]
+        for _ in range(45):
+            game = _oi_random_game(rng, counts)
+            pure_berge = {p for p in game.pure_profiles() if oracle_pure_berge(game, p)}
+            cert = decide_berge_existence_oi222(game)
+            assert cert.exists == bool(enumerate_pure_berge(game))
+            assert cert.exists == bool(pure_berge)
+            if cert.exists:
+                assert berge_deficiency(game, cert.witness) == 0
+            else:
+                assert cert.conflict == _first_conflict(cert.per_player_graphs)
+            for box in itertools.product(*sets):
+                all_berge = all(p in pure_berge for p in itertools.product(*box))
+                assert (berge_deficiency(game, _uniform_on(box, counts)) == 0) == all_berge
+            for i, graph in enumerate(cert.per_player_graphs):
+                best = max(game.payoff(p, i) for p in game.pure_profiles())
+                assert list(graph) == _maximal_boxes(
+                    counts, {p for p in game.pure_profiles() if game.payoff(p, i) == best})
+            assert (list(_boxes_within(counts, _positions(game, pure_berge)))
+                    == _maximal_boxes(counts, pure_berge))
+
+
+def _constant_game(counts):
+    return Game(counts, {p: (0,) * len(counts)
+                         for p in itertools.product(*(range(m) for m in counts))})
+
+
+class TestBoxCap:
+    @pytest.mark.parametrize("counts", [(13,), (5, 5, 5)], ids=["13", "5x5x5"])
+    def test_refused_from_the_shape_before_any_scan(self, counts, monkeypatch):
+        # Constant games are OI, so only the cap refuses them; neither the
+        # own-payoff scan nor the box table may start.
+        game = _constant_game(counts)
+
+        def started(*_):
+            raise AssertionError("work started before the cap check")
+        monkeypatch.setattr(equilibria, "own_payoff_independent", started)
+        monkeypatch.setattr(search, "_boxes", started)
+        with pytest.raises(UnsupportedGameError, match=f"more than {MAX_BOXES} boxes"):
+            decide_berge_existence_oi222(game)
+
+    def test_just_under_the_cap(self):
+        # 1 x (2^12 - 1) = 4095 boxes.  Player 1's payoff is best at player
+        # 2's strategies 3 and 7; player 2's payoff is constant.
+        game = Game((1, 12), {(0, j): (int(j in (3, 7)), 0) for j in range(12)})
+        cert = decide_berge_existence_oi222(game)
+        assert cert.exists
+        assert cert.per_player_graphs == ((((0,), (3, 7)),), (((0,), tuple(range(12))),))
+        assert [s.probs for s in cert.witness.strategies] == [
+            (1,), tuple(F(int(i in (3, 7)), 2) for i in range(12))]
 
 
 class TestGridSearch:
