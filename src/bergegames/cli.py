@@ -13,12 +13,13 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import equilibria, search
 from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError, rational
-from .gamefile import BUILTIN_NAMES, GameFormatError, builtin, format_rational, load_game
+from .gamefile import BUILTIN_NAMES, GameFormatError, builtin_game, load_game, serialize_game
 
 COORD_NAMES = ("p", "q", "r")
 
@@ -28,7 +29,7 @@ def _tuple_str(items) -> str:
 
 
 def _mixed_profile_str(profile: MixedProfile) -> str:
-    return " ".join(_tuple_str(map(format_rational, s.probs)) for s in profile.strategies)
+    return " ".join(_tuple_str(s.probs) for s in profile.strategies)
 
 
 def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
@@ -61,7 +62,7 @@ def _cmd_info(args) -> int:
     if total is None:
         print("constant sum: no")
     else:
-        print(f"constant sum: {format_rational(total)}")
+        print(f"constant sum: {total}")
     flags = equilibria.own_payoff_independent(game)
     print("own-payoff independent: "
           + " ".join(f"player {j + 1}={'yes' if f else 'no'}" for j, f in enumerate(flags)))
@@ -95,7 +96,7 @@ def _cmd_check(args) -> int:
         witness = f"player {player + 1} with complement ({', '.join(co_names)})"
     print(f"kind: {args.kind}")
     print(f"equilibrium: {'yes' if verdict.is_equilibrium else 'no'}")
-    print(f"deficiency: {format_rational(verdict.deficiency)}")
+    print(f"deficiency: {verdict.deficiency}")
     print(f"worst witness: {witness}")
     return 0 if verdict.is_equilibrium else 3
 
@@ -139,13 +140,19 @@ def _cmd_search(args) -> int:
     game = load_game(args.file)
     results = search.grid_search_min_deficiency(game, args.resolution, args.top)
     for profile, deficiency in results:
-        print(f"deficiency {format_rational(deficiency)} at {_mixed_profile_str(profile)}")
+        print(f"deficiency {deficiency} at {_mixed_profile_str(profile)}")
     return 0
 
 
 def _cmd_bsg(args) -> int:
     game = load_game(args.file)
-    faces = _box_coordinates(game, search.best_support_graph_222(game))
+    if game.strategy_counts != (2, 2, 2):   # the CSV has a column per player: p, q, r
+        raise UnsupportedGameError(f"requires a 2x2x2 game, got shape {game.strategy_counts}")
+    faces = _box_coordinates(game, search.decide_berge_existence_oi222(game).per_player_graphs)
+    sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".json"
+    for path in (args.out, sidecar):
+        if os.path.exists(path) and os.path.samefile(path, args.file):
+            raise ValueError(f"bsg would write {path} over its input {args.file}")
     # Each face sampled on a grid of step 1/20 in its free coordinates.
     ticks = [Fraction(t, 20) for t in range(21)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -155,9 +162,7 @@ def _cmd_bsg(args) -> int:
             for face in graph:
                 axes = [ticks if c == "*" else [Fraction(c)] for c in face]
                 for point in itertools.product(*axes):
-                    writer.writerow([j + 1, *(format_rational(x) for x in point),
-                                     _tuple_str(face)])
-    sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".json"
+                    writer.writerow([j + 1, *point, _tuple_str(face)])
     payload = {"players": [{"player": j + 1, "faces": graph}
                            for j, graph in enumerate(faces)]}
     with open(sidecar, "w", encoding="utf-8") as fh:
@@ -167,7 +172,7 @@ def _cmd_bsg(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
-    text = builtin(args.name)
+    text = serialize_game(builtin_game(args.name))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -241,10 +246,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry():  # console-script shim
-    raise SystemExit(main())
+    except OSError as exc:   # say, a directory where a file was expected
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

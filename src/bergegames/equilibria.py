@@ -107,11 +107,6 @@ def is_berge(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
     return _verdict(game, profile, nash=False)
 
 
-def berge_deficiency(game: Game, profile: MixedProfile) -> Fraction:
-    """The Berge gap: 0 exactly at Berge equilibria."""
-    return is_berge(game, profile).deficiency
-
-
 def _pure_equilibria(game: Game, over_own: bool) -> list[PureProfile]:
     # A pure profile is an equilibrium iff each player's payoff there is the
     # best among all profiles sharing its complement (Nash: no better own

@@ -170,16 +170,6 @@ class MixedProfile:
     def __getitem__(self, player: int) -> MixedStrategy:
         return self.strategies[player]
 
-    @classmethod
-    def point(cls, indices: Sequence[int], sizes: Sequence[int]) -> "MixedProfile":
-        if len(indices) != len(sizes):
-            raise ValueError("index/size length mismatch")
-        return cls(tuple(MixedStrategy.point(i, m) for i, m in zip(indices, sizes)))
-
-    @classmethod
-    def uniform(cls, sizes: Sequence[int]) -> "MixedProfile":
-        return cls(tuple(MixedStrategy.uniform(m) for m in sizes))
-
     def replace(self, player: int, strategy: MixedStrategy) -> "MixedProfile":
         """The profile with coordinate `player` swapped for `strategy`."""
         if not 0 <= player < len(self.strategies):
@@ -368,10 +358,11 @@ class Game:
 
     def point(self, profile: Sequence[int]) -> MixedProfile:
         """A pure profile embedded as a profile of point distributions."""
-        return MixedProfile.point(self.validate_pure(profile), self._counts)
+        return MixedProfile(tuple(MixedStrategy.point(i, m)
+                                  for i, m in zip(self.validate_pure(profile), self._counts)))
 
     def uniform(self) -> MixedProfile:
-        return MixedProfile.uniform(self._counts)
+        return MixedProfile(tuple(map(MixedStrategy.uniform, self._counts)))
 
     def name_of(self, profile: Sequence[int]) -> tuple[str, ...]:
         return tuple(self._names[j][i] for j, i in enumerate(profile))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from fractions import Fraction
 
 from .game import Game, _clip, profiles
 
@@ -95,10 +94,6 @@ def load_game(path) -> Game:
         return parse_game(fh.read())
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def serialize_game(game: Game) -> str:
     """Document text for a Game; parse_game(serialize_game(g)) == g."""
     doc = {
@@ -106,7 +101,7 @@ def serialize_game(game: Game) -> str:
         "strategies": [list(ns) for ns in game.strategy_names],
         "payoffs": [
             {"profile": list(profile),
-             "u": [format_rational(u) for u in game.payoff_vector(profile)]}
+             "u": [str(u) for u in game.payoff_vector(profile)]}
             for profile in game.pure_profiles()
         ],
     }
@@ -154,8 +149,3 @@ def builtin_game(name: str) -> Game:
     except KeyError:
         raise ValueError(f"unknown builtin {name!r}; available: "
                          + ", ".join(BUILTIN_NAMES)) from None
-
-
-def builtin(name: str) -> str:
-    """The canonical document text of a built-in game."""
-    return serialize_game(builtin_game(name))

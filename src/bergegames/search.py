@@ -77,16 +77,6 @@ def _best_profiles(game: Game) -> list[set]:
             for player in range(game.player_count)]
 
 
-def best_support_graph_222(game: Game) -> tuple[tuple[Box, ...], ...]:
-    """Per player of an own-payoff-independent 2x2x2 game, the graph of the
-    best-support correspondence as its maximal boxes: the boxes spanned by
-    the pure profiles where the player's payoff is their best."""
-    if game.strategy_counts != (2, 2, 2):
-        raise UnsupportedGameError(
-            f"requires a 2x2x2 game, got shape {game.strategy_counts}")
-    return tuple(_boxes_within(game.strategy_counts, best) for best in _best_profiles(game))
-
-
 @dataclass(frozen=True)
 class CoordinateConflict:
     """Two graphs, of `players`, that give the player at `coordinate` the

@@ -9,12 +9,12 @@ import random
 from fractions import Fraction
 
 from bergegames import (CoordinateConflict, MixedProfile, MixedStrategy,
-                        best_support, builtin, constant_sum,
+                        best_support, builtin_game, constant_sum,
                         decide_berge_existence_oi222,
                         enumerate_pure_berge, enumerate_pure_nash,
                         grid_search_min_deficiency, is_berge, is_nash,
                         is_pareto_optimal_pure, own_payoff_independent,
-                        swap_payoffs_2p)
+                        serialize_game, swap_payoffs_2p)
 from bergegames.cli import main as cli_main
 
 from conftest import (oracle_pure_berge, oracle_pure_nash, random_game,
@@ -28,7 +28,7 @@ def report(number, description, ok):
 
 def _write_builtin(tmp_path, name):
     path = tmp_path / f"{name}.json"
-    path.write_text(builtin(name))
+    path.write_text(serialize_game(builtin_game(name)))
     return str(path)
 
 

@@ -1,32 +1,40 @@
 import csv
 import hashlib
+import importlib
 import itertools
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from bergegames import builtin
+from bergegames import builtin_game, serialize_game
 from bergegames.cli import main
+
+
+def _builtin_doc(name):
+    return serialize_game(builtin_game(name))
 
 
 @pytest.fixture
 def eq5_file(tmp_path):
     path = tmp_path / "eq5.json"
-    path.write_text(builtin("eq5"))
+    path.write_text(_builtin_doc("eq5"))
     return str(path)
 
 
 @pytest.fixture
 def pd_file(tmp_path):
     path = tmp_path / "pd.json"
-    path.write_text(builtin("pd"))
+    path.write_text(_builtin_doc("pd"))
     return str(path)
 
 
 @pytest.fixture
 def sumgame_file(tmp_path):
     path = tmp_path / "sumgame222.json"
-    path.write_text(builtin("sumgame222"))
+    path.write_text(_builtin_doc("sumgame222"))
     return str(path)
 
 
@@ -167,7 +175,7 @@ class TestDecideBerge:
     ])
     def test_full_output(self, capsys, tmp_path, name, expected_code, expected_out):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(_TIES_DOC) if name == "ties" else builtin(name))
+        path.write_text(json.dumps(_TIES_DOC) if name == "ties" else _builtin_doc(name))
         code, out, err = run(capsys, "decide-berge", str(path))
         assert (code, out, err) == (expected_code, expected_out, "")
 
@@ -265,11 +273,12 @@ class TestBsg:
 
     def test_multi_face_graphs_full_output(self, capsys, ties_file, tmp_path):
         # Each face of two free coordinates gives 21 x 21 rows, in face
-        # order, then p, q, r ascending.
-        out_path = tmp_path / "ties.csv"
+        # order, then p, q, r ascending.  Not ties.csv: its JSON sidecar
+        # would be ties.json, the input, which bsg refuses to overwrite.
+        out_path = tmp_path / "graphs.csv"
         code, out, _ = run(capsys, "bsg", ties_file, "--out", str(out_path))
         assert code == 0
-        assert out == f"wrote {out_path} and {tmp_path / 'ties.json'}\n"
+        assert out == f"wrote {out_path} and {tmp_path / 'graphs.json'}\n"
         data = out_path.read_bytes()
         lines = data.decode().split("\r\n")
         assert len(lines) == 1 + 6 * 21 * 21 + 1
@@ -283,11 +292,28 @@ class TestBsg:
         faces = {1: [["*", 1, "*"], ["*", "*", 0]], 2: [[1, "*", "*"], ["*", "*", 0]],
                  3: [[1, "*", "*"], ["*", 1, "*"]]}
         expected = {"players": [{"player": j, "faces": faces[j]} for j in (1, 2, 3)]}
-        assert (tmp_path / "ties.json").read_text() == json.dumps(expected, indent=2)
+        assert (tmp_path / "graphs.json").read_text() == json.dumps(expected, indent=2)
 
     def test_unsupported_game(self, capsys, pd_file, tmp_path):
-        code, _, _ = run(capsys, "bsg", pd_file, "--out", str(tmp_path / "x.csv"))
-        assert code == 2
+        # The CSV has a column per player of a 2x2x2 game: p, q, r.
+        code, out, err = run(capsys, "bsg", pd_file, "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == "unsupported: requires a 2x2x2 game, got shape (2, 2)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pd.json"]
+
+    @pytest.mark.parametrize("out_name, written", [
+        ("eq5.json", "eq5.json"), ("eq5.csv", "eq5.json"), ("./eq5.json", "./eq5.json"),
+        ("./eq5.csv", "./eq5.json"), ("eq5", "eq5.json")],
+        ids=["csv", "sidecar", "csv-spelled", "sidecar-spelled", "sidecar-no-suffix"])
+    def test_never_overwrites_its_input(self, capsys, eq5_file, tmp_path, monkeypatch,
+                                        out_name, written):
+        monkeypatch.chdir(tmp_path)
+        before = Path(eq5_file).read_bytes()
+        code, out, err = run(capsys, "bsg", "eq5.json", "--out", out_name)
+        assert (code, out) == (1, "")
+        assert err == f"error: bsg would write {written} over its input eq5.json\n"
+        assert Path(eq5_file).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eq5.json"]
 
 
 class TestBuiltinCommand:
@@ -307,7 +333,15 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "info", "/no/such/file.json")
         assert code == 1
-        assert "no such file" in err
+        assert err == "error: no such file: /no/such/file.json\n"
+
+    @pytest.mark.parametrize("argv", [["info", "{dir}"], ["builtin", "eq5", "--out", "{dir}"]],
+                             ids=["read", "write"])
+    def test_directory_for_a_file(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and str(tmp_path) in err
 
     def test_malformed_document(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -366,3 +400,19 @@ class TestErrors:
             assert "profile [0, 0], player 1: " in err
         if record["profile"][1:2] == [10**4000]:
             assert "of player 2 out of range [0, 1)" in err
+
+
+class TestConsoleScript:
+    def test_target_exit_codes(self, tmp_path, monkeypatch):
+        # The [project.scripts] target, called as the installed wrapper
+        # calls it: sys.exit(target()) with the arguments in sys.argv.
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        module, attr = re.search(r'^\[project\.scripts\]\s*\nbergegames\s*=\s*"([\w.]+):(\w+)"',
+                                 text, re.MULTILINE).groups()
+        target = getattr(importlib.import_module(module), attr)
+        doc = str(tmp_path / "eq5.json")
+        for argv, expected in ((["builtin", "eq5", "--out", doc], 0), (["decide-berge", doc], 3)):
+            monkeypatch.setattr(sys, "argv", ["bergegames", *argv])
+            with pytest.raises(SystemExit) as exc:
+                sys.exit(target())
+            assert exc.value.code == expected

@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 import bergegames
-from bergegames import (MixedStrategy, UnsupportedGameError, berge_deficiency,
-                        best_own_deviation_value, best_support, constant_sum,
-                        enumerate_pure_berge, enumerate_pure_nash, is_berge,
-                        is_nash, is_pareto_optimal_pure, own_payoff_independent,
-                        swap_payoffs_2p, Game)
+from bergegames import (MixedStrategy, UnsupportedGameError, best_own_deviation_value,
+                        best_support, constant_sum, enumerate_pure_berge,
+                        enumerate_pure_nash, is_berge, is_nash, is_pareto_optimal_pure,
+                        own_payoff_independent, swap_payoffs_2p, Game)
 
 from conftest import (oracle_pure_berge, oracle_pure_nash, random_game,
                       random_profile, random_strategy)
@@ -119,8 +118,8 @@ class TestIsBerge:
         assert verdict.deficiency == 1
 
     def test_eq5_corner_deficiency(self, eq5):
-        assert berge_deficiency(eq5, eq5.point((0, 0, 0))) == 2
         verdict = is_berge(eq5, eq5.point((0, 0, 0)))
+        assert verdict.deficiency == 2
         player, complement = verdict.worst_witness
         assert player == 2 and complement == (1, 1)
 

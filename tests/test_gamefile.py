@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import (BUILTIN_NAMES, Game, GameFormatError, builtin, builtin_game,
-                        parse_game, serialize_game)
+from bergegames import (BUILTIN_NAMES, Game, GameFormatError, builtin_game, parse_game,
+                        serialize_game)
 
 from bergegames import game as game_module
 from bergegames.game import digit_limit, profiles
@@ -18,7 +18,7 @@ from conftest import random_game
 
 
 def _eq5_doc():
-    return json.loads(builtin("eq5"))
+    return json.loads(serialize_game(builtin_game("eq5")))
 
 
 def _reciprocal_primes_doc(distinct):
@@ -272,7 +272,7 @@ class TestBuiltins:
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="eq5"):
-            builtin("nope")
+            builtin_game("nope")
 
     def test_eq5_right_matrix_corner(self):
         g = builtin_game("eq5")

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bergegames import (CoordinateConflict, Game, MixedProfile, MixedStrategy,
-                        UnsupportedGameError, berge_deficiency, best_support,
-                        best_support_graph_222, decide_berge_existence_oi222,
+                        UnsupportedGameError, best_support, decide_berge_existence_oi222,
                         enumerate_pure_berge, equilibria, grid_search_min_deficiency,
                         is_berge, simplex_grid)
 from bergegames import search
@@ -41,6 +40,10 @@ def _bilinear(a, b, c, d):
 ONE, ZERO, FREE = (0,), (1,), (0, 1)
 
 
+def _graphs(game):
+    return decide_berge_existence_oi222(game).per_player_graphs
+
+
 def _coords_222(box, ticks):
     # The points of a 2x2x2 box on a grid of first-strategy probabilities.
     return itertools.product(*(ticks if s == FREE else [F(1 - s[0])] for s in box))
@@ -57,38 +60,34 @@ class TestBestSupportGraph:
         # Player 1's payoff at the co-player corners is the bilinear form in
         # (q, r), the first-strategy probabilities of players 2 and 3.
         game = _oi_game([form, _bilinear(0, 0, 0, 0), _bilinear(0, 0, 0, 0)])
-        graph = best_support_graph_222(game)[0]
+        graph = _graphs(game)[0]
         assert graph == tuple(boxes)
         for own in (MixedStrategy((1, 0)), MixedStrategy((F(1, 3), F(2, 3)))):
             assert best_support(game, 0, own).value == value
 
     def test_eq5_edges(self, eq5):
-        g1, g2, g3 = best_support_graph_222(eq5)
+        g1, g2, g3 = _graphs(eq5)
         assert g1 == (((0, 1), (0,), (0,)),)
         assert g2 == (((0,), (0, 1), (1,)),)
         assert g3 == (((1,), (1,), (0, 1)),)
 
     def test_zero_game_full_cube(self, zero222):
-        for graph in best_support_graph_222(zero222):
+        for graph in _graphs(zero222):
             assert graph == ((FREE, FREE, FREE),)
-
-    def test_rejects_wrong_shape(self, pd):
-        with pytest.raises(UnsupportedGameError, match="2x2x2"):
-            best_support_graph_222(pd)
 
     def test_rejects_own_dependent_player(self):
         table = {p: (p[0], 0, 0) for p in
                  [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]}
         g = Game((2, 2, 2), table)
         with pytest.raises(UnsupportedGameError, match="player 1"):
-            best_support_graph_222(g)
+            _graphs(g)
 
     def test_graph_points_have_zero_gap(self, eq5, sumgame222):
         # every point of player i's graph on the grid of step 1/4 makes the
         # complement a best support to player i's strategy
         ticks = [F(t, 4) for t in range(5)]
         for game in (eq5, sumgame222):
-            graphs = best_support_graph_222(game)
+            graphs = _graphs(game)
             for i, graph in enumerate(graphs):
                 for box in graph:
                     for point in _coords_222(box, ticks):
@@ -166,7 +165,7 @@ def _first_conflict(graphs):
 
 class TestRandomOIGames:
     def test_graphs_and_decision_match_direct_checks(self):
-        # Checked against best_support, expected_payoff and berge_deficiency
+        # Checked against best_support, expected_payoff and is_berge
         # at the 27 points of {0, 1/2, 1}^3, never against the box code.
         # Small payoffs make ties common.
         rng = random.Random(89)
@@ -175,7 +174,8 @@ class TestRandomOIGames:
             corners = [{c: F(rng.choice((-1, 0, 1)), rng.choice((1, 2)))
                         for c in itertools.product((0, 1), repeat=2)} for _ in range(3)]
             game = _oi_game([lambda x, y, t=t: t[x, y] for t in corners])
-            graphs = best_support_graph_222(game)
+            cert = decide_berge_existence_oi222(game)
+            graphs = cert.per_player_graphs
             for point in points:
                 profile = _profile_from_coords(point)
                 # The point's support box: strategy 0 iff x > 0, 1 iff x < 1.
@@ -187,13 +187,11 @@ class TestRandomOIGames:
             pure_berge = enumerate_pure_berge(game)
             meet = _boxes_within((2, 2, 2), _positions(game, pure_berge))
             assert list(meet) == _maximal_boxes((2, 2, 2), set(pure_berge))
-            cert = decide_berge_existence_oi222(game)
-            assert cert.per_player_graphs == graphs
             assert cert.exists == bool(pure_berge)
-            assert cert.exists == any(berge_deficiency(game, _profile_from_coords(point)) == 0
+            assert cert.exists == any(is_berge(game, _profile_from_coords(point)).deficiency == 0
                                       for point in points)
             if cert.exists:
-                assert berge_deficiency(game, cert.witness) == 0
+                assert is_berge(game, cert.witness).deficiency == 0
                 assert cert.conflict is None
                 # Uniform on the meet's first box.
                 assert cert.witness == MixedProfile(tuple(
@@ -237,12 +235,12 @@ class TestOIShapes:
             assert cert.exists == bool(enumerate_pure_berge(game))
             assert cert.exists == bool(pure_berge)
             if cert.exists:
-                assert berge_deficiency(game, cert.witness) == 0
+                assert is_berge(game, cert.witness).deficiency == 0
             else:
                 assert cert.conflict == _first_conflict(cert.per_player_graphs)
             for box in itertools.product(*sets):
                 all_berge = all(p in pure_berge for p in itertools.product(*box))
-                assert (berge_deficiency(game, _uniform_on(box, counts)) == 0) == all_berge
+                assert (is_berge(game, _uniform_on(box, counts)).deficiency == 0) == all_berge
             for i, graph in enumerate(cert.per_player_graphs):
                 best = max(game.payoff(p, i) for p in game.pure_profiles())
                 assert list(graph) == _maximal_boxes(
@@ -314,7 +312,7 @@ class TestGridSearch:
         defs = [d for _, d in results]
         assert defs == sorted(defs)
         for profile, d in results:
-            assert berge_deficiency(eq5, profile) == d
+            assert is_berge(eq5, profile).deficiency == d
 
     def test_pure_berge_subsumed_at_k1(self):
         rng = random.Random(67)
@@ -330,25 +328,38 @@ class TestGridSearch:
 
 
 def _reference_grid(game, resolution, top):
-    # The grid search written directly: berge_deficiency at every profile of
+    # The grid search written directly: is_berge at every profile of
     # the simplex grid, ranked by (deficiency, probabilities).
     grids = [list(simplex_grid(m, resolution)) for m in game.strategy_counts]
     entries = []
     for combo in itertools.product(*grids):
         profile = MixedProfile(tuple(MixedStrategy(probs) for probs in combo))
-        entries.append((berge_deficiency(game, profile), combo, profile))
+        entries.append((is_berge(game, profile).deficiency, combo, profile))
     best = heapq.nsmallest(top, entries, key=lambda e: (e[0], e[1]))
     return [(profile, deficiency) for deficiency, _, profile in best]
 
 
 class TestGridFastPath:
     def test_matches_reference_on_random_rational_games(self):
+        everything = 10**6
         rng = random.Random(83)
         for _ in range(100):
             counts, table = random_rational_table(rng, rng.randint(1, 3))
             game = Game(counts, table)
             resolution = rng.randint(1, 3)
-            everything = 10**6
+            assert (grid_search_min_deficiency(game, resolution, top=everything)
+                    == _reference_grid(game, resolution, everything))
+        # 2x2x2x2 games, and 4-player games where some players have a single
+        # strategy; rational payoffs, and payoffs in {0, 1}, whose many tied
+        # deficiencies exercise the tiebreak.
+        rng = random.Random(97)
+        for k in range(60):
+            counts = tuple(rng.randint(1, 2) for _ in range(4)) if k % 3 == 0 else (2, 2, 2, 2)
+            draw = ((lambda: F(rng.randint(-12, 12), rng.randint(1, 12))) if k % 2
+                    else (lambda: rng.randint(0, 1)))
+            game = Game(counts, {p: tuple(draw() for _ in counts)
+                                 for p in itertools.product(*map(range, counts))})
+            resolution = rng.randint(1, 2)
             assert (grid_search_min_deficiency(game, resolution, top=everything)
                     == _reference_grid(game, resolution, everything))
 
