@@ -75,6 +75,14 @@ class TestBestSupportGraph:
         for graph in _graphs(zero222):
             assert graph == ((FREE, FREE, FREE),)
 
+    def test_rejects_wrong_shape(self):
+        # Graphs are built for every shape within the box cap; 1 x 13 has
+        # 2^13 - 1 = 8191 boxes, past it.
+        game = Game((1, 13), {(0, j): (0, 0) for j in range(13)})
+        with pytest.raises(UnsupportedGameError, match=f"shape \\(1, 13\\) has more than "
+                                                       f"{MAX_BOXES} boxes"):
+            _graphs(game)
+
     def test_rejects_own_dependent_player(self):
         table = {p: (p[0], 0, 0) for p in
                  [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]}
