@@ -54,9 +54,45 @@ def _by_axis(values: Sequence, counts: Sequence[int], axis: int) -> list[Sequenc
     m, inner = counts[axis], math.prod(counts[axis + 1:])
     if m * inner == len(values):   # one block: each row is a slice
         return [values[a * inner:(a + 1) * inner] for a in range(m)]
-    return [list(itertools.chain.from_iterable([values[base + a * inner: base + (a + 1) * inner]
-                                                for base in range(0, len(values), m * inner)]))
-            for a in range(m)]
+    # Several blocks: entry t of row a recurs every m * inner values, one extended slice.
+    rows = [[None] * (len(values) // m) for _ in range(m)]
+    for a, row in enumerate(rows):
+        for t in range(inner):
+            row[t::inner] = values[a * inner + t::m * inner]
+    return rows
+
+
+def _vectors_in_passes(table, counts: tuple[int, ...]):
+    # The payoff vectors in profile order, checked in whole-list passes, or
+    # None if any check fails.
+    try:
+        vectors = list(map(table.__getitem__, profiles(counts)))
+    except KeyError:
+        return None
+    if (len(table) != len(vectors) or not set(map(type, vectors)) <= {list, tuple}
+            or set(map(len, vectors)) != {len(counts)}):
+        return None
+    return vectors
+
+
+def _vectors_by_profile(table, counts: tuple[int, ...]) -> list:
+    # The payoff vectors gathered one profile at a time, raising at the first defect.
+    n = len(counts)
+    vectors = []
+    for profile in profiles(counts):
+        try:
+            vec = table[profile]
+        except KeyError:
+            raise ValueError(f"missing payoff for profile {profile}") from None
+        if not isinstance(vec, (list, tuple)):
+            raise TypeError(f"payoff vector at {profile} must be a list or tuple")
+        if len(vec) != n:
+            raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
+        vectors.append(vec)
+    if len(table) != math.prod(counts):
+        extra = set(table) - set(profiles(counts))
+        raise ValueError(f"payoff table has entries for invalid profiles: {sorted(extra)}")
+    return vectors
 
 
 def _mix(weights: Sequence[int], rows) -> list[int]:
@@ -209,27 +245,18 @@ class Game:
                           for i, m in enumerate(counts))
         self._names = names
 
-        flat = []
-        for profile in profiles(counts):
-            try:
-                vec = table[profile]
-            except KeyError:
-                raise ValueError(f"missing payoff for profile {profile}") from None
-            if not isinstance(vec, (list, tuple)):
-                raise TypeError(f"payoff vector at {profile} must be a list or tuple")
-            if len(vec) != n:
-                raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
-            flat.extend(vec)
-        if len(table) != math.prod(counts):
-            extra = set(table) - set(profiles(counts))
-            raise ValueError(f"payoff table has entries for invalid profiles: {sorted(extra)}")
+        vectors = _vectors_in_passes(table, counts)
+        if vectors is None:   # some check failed: name the first defect
+            vectors = _vectors_by_profile(table, counts)
+        flat = list(itertools.chain.from_iterable(vectors))
         # Each distinct payoff is read once, in profile order, so the first
         # bad one is reported.  An int or a str is its own key and any other
         # key a tuple, so 1 never shares one with True or 1.0, which equal
         # it: a Fraction's terms (Fraction.__hash__ is slow), else the type
         # and identity of a value the reader refuses.
-        keys = [u if type(u) in (int, str) else u.as_integer_ratio() if type(u) is Fraction
-                else (type(u), id(u)) for u in flat]
+        keys = flat if set(map(type, flat)) <= {int, str} else [
+            u if type(u) in (int, str) else u.as_integer_ratio() if type(u) is Fraction
+            else (type(u), id(u)) for u in flat]
         values = dict(zip(keys, flat))
         for key, u in values.items():
             try:

@@ -12,7 +12,9 @@ are rejected so the format stays exact.  Each payoff record names its
 profile explicitly, so record order does not matter.  `parse_game` checks
 the structure and hands the payoff lists to `Game`, which reads each
 distinct entry once with `game.rational`: a bad payoff is reported only in
-a sound structure, and of several, the first in profile order.
+a sound structure, and of several, the first in profile order.  A sound
+structure is recognised in whole-list passes; only when one fails are the
+records walked one at a time, to name the first defect in document order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 
 from .game import Game, _clip, profiles
 
@@ -57,6 +60,41 @@ def parse_game(text: str) -> Game:
     records = doc["payoffs"]
     if type(records) is not list:
         raise GameFormatError("'payoffs' must be a list of records")
+    table = _table_in_passes(records, counts)
+    if table is None:   # some check failed: name the first defect
+        table = _table_by_record(records, counts)
+    try:
+        return Game(counts, table, names)
+    except (ValueError, TypeError) as exc:
+        raise GameFormatError(str(exc)) from None
+
+
+def _table_in_passes(records: list, counts: tuple[int, ...]):
+    # The table of a sound document, checked in whole-list passes, or None if
+    # any check fails.  With as many records as the shape has profiles, and
+    # every profile a key, the keys are exactly the profiles: none twice, out
+    # of range or of the wrong length.  The count is compared first, so no
+    # pass runs longer than the document.
+    n = len(counts)
+    if len(records) != math.prod(counts) or set(map(type, records)) != {dict}:
+        return None
+    try:
+        raws = list(map(operator.itemgetter("profile"), records))
+        us = list(map(operator.itemgetter("u"), records))
+    except KeyError:
+        return None
+    if (set(map(type, raws)) != {list}
+            or set(map(type, itertools.chain.from_iterable(raws))) != {int}
+            or set(map(type, us)) != {list} or set(map(len, us)) != {n}):
+        return None
+    table = dict(zip(map(tuple, raws), us))
+    return table if all(map(table.__contains__, profiles(counts))) else None
+
+
+def _table_by_record(records: list, counts: tuple[int, ...]) -> dict:
+    # The table built one record at a time, in document order, raising a
+    # GameFormatError at the first defect.
+    n = len(counts)
     int_profile = (int,) * n
     ranges = [range(m) for m in counts]
     table = {}
@@ -83,10 +121,7 @@ def parse_game(text: str) -> Game:
         missing = itertools.islice((p for p in profiles(counts) if p not in table), 5)
         raise GameFormatError(f"expected {expected} payoff records, got {len(table)}; "
                               f"missing profiles: {[list(p) for p in missing]}")
-    try:
-        return Game(counts, table, names)
-    except (ValueError, TypeError) as exc:
-        raise GameFormatError(str(exc)) from None
+    return table
 
 
 def load_game(path) -> Game:

@@ -19,7 +19,6 @@ import functools
 import heapq
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -147,16 +146,17 @@ def grid_search_min_deficiency(game: Game, resolution: int,
     """Evaluate the Berge deficiency on the full simplex grid of step
     1/resolution per player, exactly; return the `top` best profiles in
     ascending deficiency (lexicographic tiebreak).  Any deficiency-0 result
-    is a certified Berge equilibrium."""
+    is a certified Berge equilibrium.  A grid of more than 10^7 points is
+    refused with a ValueError before any point is listed."""
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     if top < 1:
         raise ValueError("top must be a positive integer")
     counts, n, k = game.strategy_counts, game.player_count, resolution
+    # Player j's grid has comb(k + m_j - 1, m_j - 1) points: counted before any is listed.
+    if math.prod(math.comb(k + m - 1, m - 1) for m in counts) > 10**7:
+        raise ValueError(f"grid has more than {10**7} points; lower the resolution")
     grids = [list(_grid_numerators(m, k)) for m in counts]
-    total = math.prod(map(len, grids))
-    if total > 10**7:
-        warnings.warn(f"grid has {total} points; this will be slow", RuntimeWarning)
 
     def strategy(j, index):
         return MixedStrategy(tuple(Fraction(a, k) for a in grids[j][index]))

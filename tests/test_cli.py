@@ -245,6 +245,11 @@ class TestSearch:
         assert len(lines) == 3
         assert all(line.startswith("deficiency 1 at ") for line in lines)
 
+    def test_oversized_grid_refused(self, capsys, eq5_file):
+        code, out, err = run(capsys, "search", eq5_file, "--resolution", "100000")
+        assert (code, out) == (1, "")
+        assert err == "error: grid has more than 10000000 points; lower the resolution\n"
+
     def test_zero_resolution_rejected(self, capsys, eq5_file):
         code, _, err = run(capsys, "search", eq5_file, "--resolution", "0")
         assert code == 1

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -12,9 +13,10 @@ from bergegames import (BUILTIN_NAMES, Game, GameFormatError, builtin_game, pars
                         serialize_game)
 
 from bergegames import game as game_module
+from bergegames import gamefile
 from bergegames.game import digit_limit, profiles
 
-from conftest import random_game
+from conftest import random_game, reference_parse, reference_vectors
 
 
 def _eq5_doc():
@@ -174,6 +176,17 @@ def _two_by_two(*records):
                        "payoffs": [{"profile": p, "u": u} for p, u in records]})
 
 
+def _tied_5555():
+    # A tied 5x5x5x5 document, 2,500 payoffs of three distinct values, and its game.
+    rng = random.Random(5)
+    table = {p: tuple(Fraction(rng.randint(0, 2)) for _ in range(4))
+             for p in profiles((5,) * 4)}
+    doc = {"players": 4, "strategies": [["a", "b", "c", "d", "e"]] * 4,
+           "payoffs": [{"profile": list(p), "u": [str(x) for x in vec]}
+                       for p, vec in table.items()]}
+    return doc, Game((5,) * 4, table)
+
+
 class TestParseOncePerValue:
     # Equal values of different types hash alike (1 == True == 1.0), so a
     # parse that reuses earlier results must still refuse each of these with
@@ -199,14 +212,7 @@ class TestParseOncePerValue:
         assert str(exc.value) == "profile [True, 0] must be 2 integer indices"
 
     def test_one_parse_per_distinct_value(self, monkeypatch):
-        # A tied 5x5x5x5 document: 2,500 payoffs, three distinct values.
-        rng = random.Random(5)
-        table = {p: tuple(Fraction(rng.randint(0, 2)) for _ in range(4))
-                 for p in profiles((5,) * 4)}
-        doc = {"players": 4, "strategies": [["a", "b", "c", "d", "e"]] * 4,
-               "payoffs": [{"profile": list(p), "u": [str(x) for x in vec]}
-                           for p, vec in table.items()]}
-        expected = Game((5,) * 4, table)
+        doc, expected = _tied_5555()
         calls = []
         real = game_module.rational
 
@@ -248,6 +254,142 @@ class TestParseOncePerValue:
             assert Game(counts, spelled, names) == g
             assert all(g.payoff_vector(p) == vec for p, vec in table.items())
             assert parse_game(serialize_game(g)) == g
+
+
+# Defects a document may carry, in the classes the reader must name.
+_JUNK_RECORDS = [5, "x", None, [], True, {"u": [0]}, {"profile": [0]}, {}]
+_BAD_INDICES = [True, False, 0.0, 1.5, -1, 3, 7, "0", None, [0]]
+_BAD_VALUES = [True, False, 1.5, 2.0, None, [1], {}, "1/0", "abc", "", "1e2000000"]
+_NOT_LISTS = [5, "01", None, {"a": 1}, True]
+
+
+def _mutate(rng, doc):
+    # One defect at a random record; a mutation that does not apply to the
+    # record it picks (say, a missing key of a junk record) is skipped.
+    records, n = doc["payoffs"], doc["players"]
+    if not records:
+        return
+    i = rng.randrange(len(records))
+    rec = records[i]
+
+    def pick(pool):   # a fresh copy, so later defects leave the pools as they are
+        return json.loads(json.dumps(rng.choice(pool)))
+    kind = rng.choice(["junk", "missing-key", "index", "profile-length", "profile-type",
+                       "duplicate", "drop", "u-length", "u-type", "value", "move"])
+    try:
+        if kind == "junk":
+            records[i] = pick(_JUNK_RECORDS)
+        elif kind == "missing-key":
+            del rec[rng.choice(["profile", "u"])]
+        elif kind == "index":
+            rec["profile"][rng.randrange(n)] = pick(_BAD_INDICES)
+        elif kind == "profile-length":
+            rec["profile"].pop() if rng.random() < 0.5 else rec["profile"].append(0)
+        elif kind == "profile-type":
+            rec["profile"] = pick(_NOT_LISTS)
+        elif kind == "duplicate":
+            records.insert(rng.randrange(len(records) + 1), json.loads(json.dumps(rec)))
+        elif kind == "drop":
+            del records[i]
+        elif kind == "u-length":
+            rec["u"].pop() if rng.random() < 0.5 else rec["u"].append(0)
+        elif kind == "u-type":
+            rec["u"] = pick(_NOT_LISTS)
+        elif kind == "value":
+            rec["u"][rng.randrange(n)] = pick(_BAD_VALUES)
+        else:   # another valid index: one profile twice, another missing
+            j = rng.randrange(n)
+            rec["profile"][j] = rng.randrange(len(doc["strategies"][j]))
+    except (KeyError, TypeError, IndexError, AttributeError):
+        pass
+
+
+def _random_doc(rng, counts):
+    values = [0, 1, -2, 3, "1/2", "-3/4", "2", "0.5", "5/10", 7]
+    records = [{"profile": list(p), "u": [rng.choice(values) for _ in counts]}
+               for p in profiles(counts)]
+    if rng.random() < 0.5:
+        rng.shuffle(records)
+    return {"players": len(counts),
+            "strategies": [[f"s{j}{i}" for i in range(m)] for j, m in enumerate(counts)],
+            "payoffs": records}
+
+
+def _outcome(read, *args):
+    # A reader's game, or the type and text of its error.
+    try:
+        return read(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_game(counts, table):
+    vectors = reference_vectors(table, counts)
+    return Game(counts, dict(zip(profiles(counts), map(tuple, vectors))))
+
+
+class TestReaderMatchesReference:
+    # The whole-list passes decide soundness and the record loop names the
+    # first defect; the reference reads one record at a time throughout.
+    def test_seeded_corpus(self):
+        rng = random.Random(1616)
+        mutated, errors = 0, []
+        for _ in range(1200):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            doc = _random_doc(rng, counts)
+            defects = rng.choice((0, 1, 1, 2, 3))
+            for _ in range(defects):
+                _mutate(rng, doc)
+            mutated += defects > 0
+            text = json.dumps(doc)
+            want, got = _outcome(reference_parse, text), _outcome(parse_game, text)
+            assert got == want, text
+            if isinstance(got, Game):
+                assert got.strategy_names == want.strategy_names
+            else:
+                errors.append(got[1])
+        assert mutated >= 1000 * 0.7
+        for message in ("needs 'profile' and 'u'", "integer indices", "out of range",
+                        "duplicate payoff record", "'u' must have", "missing profiles",
+                        "boolean", "floating-point", "malformed rational", "cannot read"):
+            assert any(message in e for e in errors), message
+
+    def test_game_tables(self):
+        # Game checks its table in passes too; a vector of a tuple subclass,
+        # which the passes leave to the per-profile walk, is accepted.
+        Pair = collections.namedtuple("Pair", "a b")
+        rng = random.Random(1617)
+        for _ in range(600):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            n = len(counts)
+            table = {p: tuple(rng.randint(-2, 2) for _ in counts) for p in profiles(counts)}
+            p = rng.choice(list(table))
+            kind = rng.choice(["none", "drop", "extra", "list", "subclass",
+                               "not-a-sequence", "length", "value"])
+            if kind == "drop":
+                del table[p]
+            elif kind == "extra":
+                table[tuple(m for m in counts)] = (0,) * n
+            elif kind == "list":
+                table = {q: list(v) for q, v in table.items()}
+            elif kind == "subclass" and n == 2:
+                table[p] = Pair(*table[p])
+            elif kind == "not-a-sequence":
+                table[p] = rng.choice([5, "ab", None, {0: 1}])
+            elif kind == "length":
+                table[p] = table[p] + (0,) if rng.random() < 0.5 else table[p][:-1]
+            elif kind == "value":
+                table[p] = (rng.choice(_BAD_VALUES + ["3/4", Fraction(1, 3)]),) + table[p][1:]
+            assert _outcome(Game, counts, table) == _outcome(_reference_game, counts, table)
+
+    def test_sound_document_skips_the_locators(self, monkeypatch):
+        doc, expected = _tied_5555()
+
+        def located(*_):
+            raise AssertionError("a sound document entered a defect locator")
+        monkeypatch.setattr(gamefile, "_table_by_record", located)
+        monkeypatch.setattr(game_module, "_vectors_by_profile", located)
+        assert parse_game(json.dumps(doc)) == expected
 
 
 class TestRoundTrip:

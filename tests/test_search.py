@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -298,6 +299,26 @@ class TestGridSearch:
     def test_resolution_must_be_positive(self, eq5):
         with pytest.raises(ValueError):
             grid_search_min_deficiency(eq5, 0)
+
+    def test_oversized_grid_refused_before_listing(self, eq5, monkeypatch):
+        # eq5 has k + 1 points per player: 10^15 at k = 10^5, 10^27 at 10^9.
+        # A 2-strategy solo player has k + 1 points: 10^7 is allowed.
+        class Listed(Exception):
+            pass
+
+        def listed(*_):
+            raise Listed
+        monkeypatch.setattr(search, "_grid_numerators", listed)
+        start = time.perf_counter()
+        for k in (10**5, 10**9):
+            with pytest.raises(ValueError, match="grid has more than 10000000 points"):
+                grid_search_min_deficiency(eq5, k)
+        assert time.perf_counter() - start < 0.1
+        solo = Game((2,), {(0,): (0,), (1,): (1,)})
+        with pytest.raises(ValueError, match="more than 10000000 points"):
+            grid_search_min_deficiency(solo, 10**7)
+        with pytest.raises(Listed):
+            grid_search_min_deficiency(solo, 10**7 - 1)
 
     def test_eq5_floor_is_one(self, eq5):
         results = grid_search_min_deficiency(eq5, 10, top=5)
