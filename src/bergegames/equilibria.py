@@ -127,32 +127,30 @@ def enumerate_pure_berge(game: Game) -> list[PureProfile]:
 
 def constant_sum(game: Game) -> Optional[Fraction]:
     """The common payoff-vector sum over all pure profiles, or None."""
-    total = None
-    for profile in game.pure_profiles():
-        s = sum(game.payoff_vector(profile))
-        if total is None:
-            total = s
-        elif s != total:
-            return None
-    return total
+    # The stored ints share one denominator, so equal int sums are equal sums.
+    # The scan stops at the first sum that differs from the first.
+    sums = map(sum, zip(*game._tensors))
+    first = next(sums)
+    if all(map(operator.eq, sums, itertools.repeat(first))):
+        return Fraction(first, game._scale)
+    return None
 
 
 def own_payoff_independent(game: Game) -> tuple[bool, ...]:
     """Per player: is the player's payoff the same under every own strategy,
     for every fixed pure profile of the co-players?"""
-    # It is iff every payoff is the best over the player's own strategies.
-    return tuple(all(game.attains_best(player, over_own=True))
-                 for player in range(game.player_count))
+    # It is iff all rows of the player's own-by-complement matrix are equal.
+    return tuple(rows[1:] == rows[:-1]
+                 for rows, _ in map(game.own_by_complement, range(game.player_count)))
 
 
 def is_pareto_optimal_pure(game: Game, profile: Sequence[int]) -> bool:
     """True iff no other pure profile weakly dominates this one."""
-    vec = game.payoff_vector(profile)
-    for other in game.pure_profiles():
-        ovec = game.payoff_vector(other)
-        if all(o >= v for o, v in zip(ovec, vec)) and any(o > v for o, v in zip(ovec, vec)):
-            return False
-    return True
+    # Another vector dominates iff it is nowhere lower and not the same.
+    index = game._index(profile)
+    vec = tuple(t[index] for t in game._tensors)
+    return not any(all(map(operator.ge, other, vec)) and other != vec
+                   for other in zip(*game._tensors))
 
 
 def swap_payoffs_2p(game: Game) -> Game:

@@ -20,10 +20,12 @@ with the last player's index varying fastest.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -62,14 +64,37 @@ def _by_axis(values: Sequence, counts: Sequence[int], axis: int) -> list[Sequenc
     return rows
 
 
+class _ProfileOrdered(Mapping):
+    # A payoff table whose vectors are already listed in profile order, as the
+    # document reader sorts them, so that Game takes the list as it is.
+    def __init__(self, counts: tuple[int, ...], vectors: list):
+        self.counts, self.vectors = counts, vectors
+
+    @functools.cached_property
+    def _table(self) -> dict:
+        return dict(zip(self, self.vectors))
+
+    def __getitem__(self, profile):
+        return self._table[profile]
+
+    def __iter__(self):
+        return profiles(self.counts)
+
+    def __len__(self):
+        return len(self.vectors)
+
+
 def _vectors_in_passes(table, counts: tuple[int, ...]):
     # The payoff vectors in profile order, checked in whole-list passes, or
     # None if any check fails.
-    try:
-        vectors = list(map(table.__getitem__, profiles(counts)))
-    except KeyError:
-        return None
-    if (len(table) != len(vectors) or not set(map(type, vectors)) <= {list, tuple}
+    if type(table) is _ProfileOrdered and table.counts == counts:
+        vectors = table.vectors
+    else:
+        try:
+            vectors = list(map(table.__getitem__, profiles(counts)))
+        except KeyError:
+            return None
+    if (len(table) != math.prod(counts) or not set(map(type, vectors)) <= {list, tuple}
             or set(map(len, vectors)) != {len(counts)}):
         return None
     return vectors
@@ -254,13 +279,14 @@ class Game:
         # key a tuple, so 1 never shares one with True or 1.0, which equal
         # it: a Fraction's terms (Fraction.__hash__ is slow), else the type
         # and identity of a value the reader refuses.
-        keys = flat if set(map(type, flat)) <= {int, str} else [
+        plain = set(map(type, flat)) <= {int, str}
+        keys = flat if plain else [
             u if type(u) in (int, str) else u.as_integer_ratio() if type(u) is Fraction
             else (type(u), id(u)) for u in flat]
-        values = dict(zip(keys, flat))
+        values = dict.fromkeys(flat) if plain else dict(zip(keys, flat))
         for key, u in values.items():
             try:
-                values[key] = rational(u)
+                values[key] = rational(key if plain else u)
             except (ValueError, TypeError) as exc:
                 k = keys.index(key)
                 profile = next(itertools.islice(profiles(counts), k // n, None))

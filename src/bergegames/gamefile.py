@@ -9,22 +9,24 @@ Document layout::
 
 Payoff entries are integers or strings "num/den"; floating-point numbers
 are rejected so the format stays exact.  Each payoff record names its
-profile explicitly, so record order does not matter.  `parse_game` checks
-the structure and hands the payoff lists to `Game`, which reads each
-distinct entry once with `game.rational`: a bad payoff is reported only in
-a sound structure, and of several, the first in profile order.  A sound
-structure is recognised in whole-list passes; only when one fails are the
-records walked one at a time, to name the first defect in document order.
+profile explicitly, so record order does not matter: records are matched
+to profiles by sorting.  `parse_game` checks the structure and hands the
+payoff lists, in profile order, to `Game`, which reads each distinct entry
+once with `game.rational`: a bad payoff is reported only in a sound
+structure, and of several, the first in profile order.  A sound structure
+is recognised in whole-list passes; only when one fails are the records
+walked one at a time, to name the first defect in document order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
 
-from .game import Game, _clip, profiles
+from .game import Game, _ProfileOrdered, _clip, profiles
 
 
 class GameFormatError(ValueError):
@@ -69,12 +71,21 @@ def parse_game(text: str) -> Game:
         raise GameFormatError(str(exc)) from None
 
 
+@functools.lru_cache(maxsize=8)
+def _profile_lists(counts: tuple[int, ...]) -> list[list[int]]:
+    # The shape's profiles as the lists a sound document spells them with, in
+    # profile order.  Shared between calls, so never changed.
+    return list(map(list, profiles(counts)))
+
+
 def _table_in_passes(records: list, counts: tuple[int, ...]):
-    # The table of a sound document, checked in whole-list passes, or None if
-    # any check fails.  With as many records as the shape has profiles, and
-    # every profile a key, the keys are exactly the profiles: none twice, out
-    # of range or of the wrong length.  The count is compared first, so no
-    # pass runs longer than the document.
+    # The payoff lists of a sound document in profile order, checked in
+    # whole-list passes, or None if any check fails.  With as many records as
+    # the shape has profiles, and their profiles, sorted, equal to the shape's,
+    # each profile comes exactly once: none twice, missing, out of range or of
+    # the wrong length.  The count is compared first, so no pass runs longer
+    # than the document; the indices must be ints, as list equality reads
+    # true as 1.
     n = len(counts)
     if len(records) != math.prod(counts) or set(map(type, records)) != {dict}:
         return None
@@ -87,8 +98,13 @@ def _table_in_passes(records: list, counts: tuple[int, ...]):
             or set(map(type, itertools.chain.from_iterable(raws))) != {int}
             or set(map(type, us)) != {list} or set(map(len, us)) != {n}):
         return None
-    table = dict(zip(map(tuple, raws), us))
-    return table if all(map(table.__contains__, profiles(counts))) else None
+    canonical = _profile_lists(counts)
+    if raws != canonical:   # records out of profile order
+        order = sorted(range(len(raws)), key=raws.__getitem__)
+        if list(map(raws.__getitem__, order)) != canonical:
+            return None
+        us = list(map(us.__getitem__, order))
+    return _ProfileOrdered(counts, us)
 
 
 def _table_by_record(records: list, counts: tuple[int, ...]) -> dict:

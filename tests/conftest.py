@@ -100,6 +100,59 @@ def oracle_expected_payoff(game: Game, profile: MixedProfile, player: int) -> Fr
     return total
 
 
+def oracle_constant_sum(game: Game):
+    """The common sum of the payoff vectors, or None, summed as Fractions."""
+    n = game.player_count
+    sums = {sum(game.payoff(pure, i) for i in range(n)) for pure in game.pure_profiles()}
+    return sums.pop() if len(sums) == 1 else None
+
+
+def oracle_pareto_optimal_pure(game: Game, profile) -> bool:
+    """No other pure profile pays every player at least as much and some more."""
+    n = game.player_count
+    mine = [game.payoff(profile, i) for i in range(n)]
+    for other in game.pure_profiles():
+        theirs = [game.payoff(other, i) for i in range(n)]
+        if all(t >= v for t, v in zip(theirs, mine)) and any(t > v for t, v in zip(theirs, mine)):
+            return False
+    return True
+
+
+def oracle_own_payoff_independent(game: Game) -> tuple:
+    """Per player: does each pure complement give the player one payoff,
+    whatever their own strategy?"""
+    counts = game.strategy_counts
+    flags = []
+    for i, m in enumerate(counts):
+        co_ranges = [range(k) for j, k in enumerate(counts) if j != i]
+        flags.append(all(
+            len({game.payoff(complement[:i] + (own,) + complement[i:], i) for own in range(m)}) == 1
+            for complement in itertools.product(*co_ranges)))
+    return tuple(flags)
+
+
+def random_structure_game(rng: random.Random) -> Game:
+    """A game of 1-4 players with 1-3 strategies each whose payoffs are tied
+    (0 or 1), rational, or own-payoff-independent by construction, in which
+    case some players may have one payoff moved so that they are not."""
+    counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+    n = len(counts)
+    kind = rng.choice(["tied", "rational", "independent"])
+
+    def draw():
+        return rng.randint(0, 1) if kind == "tied" else Fraction(rng.randint(-6, 6),
+                                                                 rng.randint(1, 4))
+    if kind == "independent":
+        co = [{} for _ in counts]
+        table = {p: [co[i].setdefault(p[:i] + p[i + 1:], draw()) for i in range(n)]
+                 for p in profiles(counts)}
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            table[rng.choice(list(table))][rng.randrange(n)] += 1
+    else:
+        table = {p: [draw() for _ in counts] for p in profiles(counts)}
+    return Game(counts, table)
+
+
 # ---------------------------------------------------------------------------
 # Reference reader: a game document read one record, then one profile, at a
 # time, in the order that decides which defect is named first.  Documents

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import os
 import random
 import subprocess
@@ -11,9 +13,11 @@ from bergegames import (MixedStrategy, UnsupportedGameError, best_own_deviation_
                         best_support, constant_sum, enumerate_pure_berge,
                         enumerate_pure_nash, is_berge, is_nash, is_pareto_optimal_pure,
                         own_payoff_independent, swap_payoffs_2p, Game)
+from bergegames.game import profiles
 
-from conftest import (oracle_pure_berge, oracle_pure_nash, random_game,
-                      random_profile, random_strategy)
+from conftest import (oracle_constant_sum, oracle_own_payoff_independent,
+                      oracle_pareto_optimal_pure, oracle_pure_berge, oracle_pure_nash,
+                      random_game, random_profile, random_strategy, random_structure_game)
 
 
 def test_inconsistent_verdict_rejected_under_optimize():
@@ -218,6 +222,52 @@ class TestStructure:
             if constant_sum(g) is not None:
                 for pure in g.pure_profiles():
                     assert is_pareto_optimal_pure(g, pure)
+
+
+class TestStructureOracles:
+    # The structure checks work on the stored ints; the oracles read Fractions
+    # through Game.payoff one profile at a time.
+    def test_own_payoff_independent(self):
+        rng = random.Random(1701)
+        seen = collections.Counter()
+        for _ in range(600):
+            g = random_structure_game(rng)
+            flags = own_payoff_independent(g)
+            assert flags == oracle_own_payoff_independent(g), g
+            seen[all(flags), g.player_count, 1 in g.strategy_counts] += 1
+        assert sum(v for (oi, _, _), v in seen.items() if oi) >= 100
+        assert sum(v for (oi, _, _), v in seen.items() if not oi) >= 100
+        assert {players for _, players, _ in seen} == {1, 2, 3, 4}
+        assert sum(v for (_, _, single), v in seen.items() if single) >= 100
+
+    def test_constant_sum_and_pareto(self):
+        rng = random.Random(1702)
+        constant = 0
+        for _ in range(300):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            total = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            table = {}
+            for p in profiles(counts):
+                vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in counts]
+                vec[-1] = total - sum(vec[:-1])
+                table[p] = vec
+            if rng.random() < 0.5:   # one payoff moved: no longer constant-sum
+                table[rng.choice(list(table))][rng.randrange(len(counts))] += Fraction(1, 7)
+            g = Game(counts, table)
+            assert constant_sum(g) == oracle_constant_sum(g)
+            constant += constant_sum(g) is not None
+            for pure in itertools.islice(g.pure_profiles(), 0, None, 3):
+                assert is_pareto_optimal_pure(g, pure) == oracle_pareto_optimal_pure(g, pure)
+        assert 100 <= constant <= 200
+        for _ in range(100):
+            g = random_structure_game(rng)
+            assert constant_sum(g) == oracle_constant_sum(g)
+            for pure in g.pure_profiles():
+                assert is_pareto_optimal_pure(g, pure) == oracle_pareto_optimal_pure(g, pure)
+
+    def test_pareto_validates_the_profile(self, pd):
+        with pytest.raises(ValueError, match="out of range"):
+            is_pareto_optimal_pure(pd, (0, 2))
 
 
 class TestSwap2p:

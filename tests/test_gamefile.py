@@ -328,6 +328,29 @@ def _reference_game(counts, table):
     return Game(counts, dict(zip(profiles(counts), map(tuple, vectors))))
 
 
+def _misordered(rng, doc, order):
+    # The document with its records shuffled or reversed; some keep one defect
+    # that list equality or a sort could hide: a true or false index, or a
+    # profile one index short or long, which sorts next to sound ones.
+    records = doc["payoffs"]
+    kind = rng.choice(["sound", "bool", "short", "long", "other"])
+    if kind == "bool":
+        rec = rng.choice([r for r in records if min(r["profile"]) < 2])
+        j = rng.choice([j for j, i in enumerate(rec["profile"]) if i < 2])
+        rec["profile"][j] = bool(rec["profile"][j])
+    elif kind == "short":
+        rng.choice(records)["profile"].pop()
+    elif kind == "long":
+        rng.choice(records)["profile"].append(rng.randint(0, 2))
+    elif kind == "other":
+        _mutate(rng, doc)
+    if order == "shuffled":
+        rng.shuffle(records)
+    else:
+        records.reverse()
+    return kind
+
+
 class TestReaderMatchesReference:
     # The whole-list passes decide soundness and the record loop names the
     # first defect; the reference reads one record at a time throughout.
@@ -390,6 +413,53 @@ class TestReaderMatchesReference:
         monkeypatch.setattr(gamefile, "_table_by_record", located)
         monkeypatch.setattr(game_module, "_vectors_by_profile", located)
         assert parse_game(json.dumps(doc)) == expected
+
+    # The passes sort records out of profile order; the reference never does.
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    def test_record_orders(self, order):
+        rng = random.Random(1718 if order == "shuffled" else 1719)
+        kinds, errors = collections.Counter(), []
+        for _ in range(500):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            doc = _random_doc(rng, counts)
+            kind = _misordered(rng, doc, order)
+            text = json.dumps(doc)
+            want, got = _outcome(reference_parse, text), _outcome(parse_game, text)
+            assert got == want, text
+            kinds[kind, isinstance(got, Game)] += 1
+            if not isinstance(got, Game):
+                errors.append(got[1])
+        for kind in ("bool", "short", "long"):
+            assert kinds[kind, False] >= 50 and not kinds[kind, True], kind
+        assert kinds["sound", True] >= 50
+        assert any("integer indices" in e for e in errors)
+
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    def test_sound_misordered_document_skips_the_locators(self, monkeypatch, order):
+        doc, expected = _tied_5555()
+        if order == "shuffled":
+            random.Random(1720).shuffle(doc["payoffs"])
+        else:
+            doc["payoffs"].reverse()
+
+        def located(*_):
+            raise AssertionError("a sound document entered a defect locator")
+        monkeypatch.setattr(gamefile, "_table_by_record", located)
+        monkeypatch.setattr(game_module, "_vectors_by_profile", located)
+        assert parse_game(json.dumps(doc)) == expected
+
+    def test_ordered_table_reads_as_a_mapping(self):
+        # Game takes the reader's ordered vectors as they are; a defect in
+        # them is named as in the same table given as a dict.
+        rng = random.Random(1721)
+        for _ in range(200):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            table = {p: [rng.randint(-2, 2) for _ in counts] for p in profiles(counts)}
+            p = rng.choice(list(table))
+            table[p] = rng.choice([table[p], table[p][:-1], table[p] + [0], 5, ["x"] * len(counts)])
+            ordered = game_module._ProfileOrdered(counts, list(table.values()))
+            assert dict(ordered) == table
+            assert _outcome(Game, counts, ordered) == _outcome(Game, counts, table)
 
 
 class TestRoundTrip:
