@@ -43,14 +43,17 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
     if not isinstance(raw, list) or len(raw) != game.player_count:
         raise ValueError(f"profile spec must list {game.player_count} probability vectors")
     strategies = []
-    for j, vec in enumerate(raw):
+    for j, (vec, m) in enumerate(zip(raw, game.strategy_counts)):
         if not isinstance(vec, list):
             raise ValueError(f"player {j + 1}: expected a probability vector")
         try:
             strategies.append(MixedStrategy(tuple(vec)))
         except (ValueError, TypeError) as exc:
             raise ValueError(f"player {j + 1}: bad probability vector ({exc})")
-    return game.validate_profile(MixedProfile(tuple(strategies)))
+        if len(vec) != m:
+            raise ValueError(f"player {j + 1}: probability vector has length {len(vec)}, "
+                             f"expected {m}")
+    return MixedProfile(tuple(strategies))
 
 
 def _cmd_info(args) -> int:

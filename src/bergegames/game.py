@@ -20,12 +20,10 @@ with the last player's index varying fastest.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -64,47 +62,19 @@ def _by_axis(values: Sequence, counts: Sequence[int], axis: int) -> list[Sequenc
     return rows
 
 
-class _ProfileOrdered(Mapping):
-    # A payoff table whose vectors are already listed in profile order, as the
-    # document reader sorts them, so that Game takes the list as it is.
-    def __init__(self, counts: tuple[int, ...], vectors: list):
-        self.counts, self.vectors = counts, vectors
-
-    @functools.cached_property
-    def _table(self) -> dict:
-        return dict(zip(self, self.vectors))
-
-    def __getitem__(self, profile):
-        return self._table[profile]
-
-    def __iter__(self):
-        return profiles(self.counts)
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-def _vectors_in_passes(table, counts: tuple[int, ...]):
-    # The payoff vectors in profile order, checked in whole-list passes, or
-    # None if any check fails.
-    if type(table) is _ProfileOrdered and table.counts == counts:
-        vectors = table.vectors
-    else:
-        try:
-            vectors = list(map(table.__getitem__, profiles(counts)))
-        except KeyError:
-            return None
-    if (len(table) != math.prod(counts) or not set(map(type, vectors)) <= {list, tuple}
-            or set(map(len, vectors)) != {len(counts)}):
-        return None
-    return vectors
+class _ProfileOrdered(list):
+    """Payoff vectors that the document reader has checked, in profile order:
+    one list per profile, of one entry per player.  Game takes them as they are."""
 
 
 def _vectors_by_profile(table, counts: tuple[int, ...]) -> list:
     # The payoff vectors gathered one profile at a time, raising at the first defect.
-    n = len(counts)
+    # Strategies numbered past len(table) are left out of the walk: the first
+    # len(table) + 1 profiles stay, in order, and a table shorter than the
+    # shape lacks one of them, so a huge shape costs no more than its table.
+    n, cap = len(counts), len(table) + 1
     vectors = []
-    for profile in profiles(counts):
+    for profile in profiles([min(m, cap) for m in counts]):
         try:
             vec = table[profile]
         except KeyError:
@@ -265,14 +235,11 @@ class Game:
             names = tuple(tuple(ns) for ns in strategy_names)
             if len(names) != n or any(len(ns) != m for ns, m in zip(names, counts)):
                 raise ValueError("strategy_names shape does not match strategy_counts")
-        else:
+        vectors = table if type(table) is _ProfileOrdered else _vectors_by_profile(table, counts)
+        if strategy_names is None:   # only for a sound table, whose size bounds theirs
             names = tuple(tuple(f"s{i}_{j}" for j in range(m))
                           for i, m in enumerate(counts))
         self._names = names
-
-        vectors = _vectors_in_passes(table, counts)
-        if vectors is None:   # some check failed: name the first defect
-            vectors = _vectors_by_profile(table, counts)
         flat = list(itertools.chain.from_iterable(vectors))
         # Each distinct payoff is read once, in profile order, so the first
         # bad one is reported.  An int or a str is its own key and any other

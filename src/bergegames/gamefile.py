@@ -10,12 +10,13 @@ Document layout::
 Payoff entries are integers or strings "num/den"; floating-point numbers
 are rejected so the format stays exact.  Each payoff record names its
 profile explicitly, so record order does not matter: records are matched
-to profiles by sorting.  `parse_game` checks the structure and hands the
-payoff lists, in profile order, to `Game`, which reads each distinct entry
-once with `game.rational`: a bad payoff is reported only in a sound
-structure, and of several, the first in profile order.  A sound structure
-is recognised in whole-list passes; only when one fails are the records
-walked one at a time, to name the first defect in document order.
+to profiles by sorting.  `parse_game` checks the structure, each 'u' a
+list of one entry per player included, and hands the payoff lists, in
+profile order, to `Game`, which takes them as they are and reads each
+distinct entry once with `game.rational`: a bad payoff is reported only in
+a sound structure, and of several, the first in profile order.  A sound
+structure is recognised in whole-list passes; only when one fails are the
+records walked one at a time, to name the first defect in document order.
 """
 
 from __future__ import annotations
@@ -104,12 +105,12 @@ def _table_in_passes(records: list, counts: tuple[int, ...]):
         if list(map(raws.__getitem__, order)) != canonical:
             return None
         us = list(map(us.__getitem__, order))
-    return _ProfileOrdered(counts, us)
+    return _ProfileOrdered(us)
 
 
-def _table_by_record(records: list, counts: tuple[int, ...]) -> dict:
-    # The table built one record at a time, in document order, raising a
-    # GameFormatError at the first defect.
+def _table_by_record(records: list, counts: tuple[int, ...]) -> _ProfileOrdered:
+    # The payoff lists in profile order, read one record at a time, in
+    # document order, raising a GameFormatError at the first defect.
     n = len(counts)
     int_profile = (int,) * n
     ranges = [range(m) for m in counts]
@@ -137,7 +138,7 @@ def _table_by_record(records: list, counts: tuple[int, ...]) -> dict:
         missing = itertools.islice((p for p in profiles(counts) if p not in table), 5)
         raise GameFormatError(f"expected {expected} payoff records, got {len(table)}; "
                               f"missing profiles: {[list(p) for p in missing]}")
-    return table
+    return _ProfileOrdered(map(table.__getitem__, profiles(counts)))
 
 
 def load_game(path) -> Game:

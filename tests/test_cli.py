@@ -374,6 +374,12 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: bad game document: ")
 
+    def test_profile_vector_of_wrong_length(self, capsys, eq5_file):
+        code, out, err = run(capsys, "check", eq5_file, "--profile",
+                             '[["1"],["1/2","1/2"],["1/2","1/2"]]', "--kind", "berge")
+        assert (code, out) == (1, "")
+        assert err == "error: player 1: probability vector has length 1, expected 2\n"
+
     def test_deeply_nested_input(self, capsys, tmp_path, eq5_file):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,18 @@ class TestConstruction:
     def test_game_requires_full_table(self):
         with pytest.raises(ValueError):
             Game((2, 2), {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0)})
+
+    def test_huge_shape_with_short_table_refused_cheaply(self):
+        # Neither the default names nor the profile walk grow with a shape
+        # that the table is far too short for.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("missing payoff for profile (0,)")):
+                Game((10 ** 6,), {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_game_rejects_wrong_vector_length(self):
         with pytest.raises(ValueError):

@@ -351,18 +351,33 @@ def _misordered(rng, doc, order):
     return kind
 
 
+def _mutated_docs():
+    # 1,200 seeded documents, most with defects, each with its defect count.
+    rng = random.Random(1616)
+    for _ in range(1200):
+        counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        doc = _random_doc(rng, counts)
+        defects = rng.choice((0, 1, 1, 2, 3))
+        for _ in range(defects):
+            _mutate(rng, doc)
+        yield doc, defects
+
+
+def _misordered_docs(order):
+    # 500 seeded documents shuffled or reversed by _misordered, each with its kind.
+    rng = random.Random(1718 if order == "shuffled" else 1719)
+    for _ in range(500):
+        counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        doc = _random_doc(rng, counts)
+        yield doc, _misordered(rng, doc, order)
+
+
 class TestReaderMatchesReference:
     # The whole-list passes decide soundness and the record loop names the
     # first defect; the reference reads one record at a time throughout.
     def test_seeded_corpus(self):
-        rng = random.Random(1616)
         mutated, errors = 0, []
-        for _ in range(1200):
-            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
-            doc = _random_doc(rng, counts)
-            defects = rng.choice((0, 1, 1, 2, 3))
-            for _ in range(defects):
-                _mutate(rng, doc)
+        for doc, defects in _mutated_docs():
             mutated += defects > 0
             text = json.dumps(doc)
             want, got = _outcome(reference_parse, text), _outcome(parse_game, text)
@@ -377,9 +392,29 @@ class TestReaderMatchesReference:
                         "boolean", "floating-point", "malformed rational", "cannot read"):
             assert any(message in e for e in errors), message
 
+    def test_passes_refuse_what_the_record_loop_refuses(self):
+        # Game takes the reader's payoff lists without checking them again (a
+        # 'u' list one entry short would misalign its tensors), so the passes
+        # must refuse every document the record loop refuses, and agree with
+        # it on the rest.
+        docs = itertools.chain(_mutated_docs(), _misordered_docs("shuffled"),
+                               _misordered_docs("reversed"))
+        outcomes = collections.Counter()
+        for doc, _ in docs:
+            records, counts = doc["payoffs"], tuple(map(len, doc["strategies"]))
+            passes = gamefile._table_in_passes(records, counts)
+            try:
+                by_record = gamefile._table_by_record(records, counts)
+            except GameFormatError:
+                by_record = None
+            assert (passes is None) == (by_record is None), records
+            assert passes is None or passes == by_record
+            outcomes[passes is None] += 1
+        assert outcomes[True] >= 1000 and outcomes[False] >= 500
+
     def test_game_tables(self):
-        # Game checks its table in passes too; a vector of a tuple subclass,
-        # which the passes leave to the per-profile walk, is accepted.
+        # Game walks any table but the reader's one profile at a time; a
+        # vector of a tuple subclass is accepted.
         Pair = collections.namedtuple("Pair", "a b")
         rng = random.Random(1617)
         for _ in range(600):
@@ -387,10 +422,14 @@ class TestReaderMatchesReference:
             n = len(counts)
             table = {p: tuple(rng.randint(-2, 2) for _ in counts) for p in profiles(counts)}
             p = rng.choice(list(table))
-            kind = rng.choice(["none", "drop", "extra", "list", "subclass",
+            kind = rng.choice(["none", "drop", "sparse", "extra", "list", "subclass",
                                "not-a-sequence", "length", "value"])
             if kind == "drop":
                 del table[p]
+            elif kind == "sparse":   # far fewer entries than a player has strategies
+                counts += (rng.randint(5, 9),)
+                table = {q + (rng.randrange(counts[-1]),): (0,) * (n + 1)
+                         for q in rng.sample(list(table), min(len(table), rng.randint(0, 2)))}
             elif kind == "extra":
                 table[tuple(m for m in counts)] = (0,) * n
             elif kind == "list":
@@ -417,12 +456,8 @@ class TestReaderMatchesReference:
     # The passes sort records out of profile order; the reference never does.
     @pytest.mark.parametrize("order", ["shuffled", "reversed"])
     def test_record_orders(self, order):
-        rng = random.Random(1718 if order == "shuffled" else 1719)
         kinds, errors = collections.Counter(), []
-        for _ in range(500):
-            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
-            doc = _random_doc(rng, counts)
-            kind = _misordered(rng, doc, order)
+        for doc, kind in _misordered_docs(order):
             text = json.dumps(doc)
             want, got = _outcome(reference_parse, text), _outcome(parse_game, text)
             assert got == want, text
@@ -447,19 +482,6 @@ class TestReaderMatchesReference:
         monkeypatch.setattr(gamefile, "_table_by_record", located)
         monkeypatch.setattr(game_module, "_vectors_by_profile", located)
         assert parse_game(json.dumps(doc)) == expected
-
-    def test_ordered_table_reads_as_a_mapping(self):
-        # Game takes the reader's ordered vectors as they are; a defect in
-        # them is named as in the same table given as a dict.
-        rng = random.Random(1721)
-        for _ in range(200):
-            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-            table = {p: [rng.randint(-2, 2) for _ in counts] for p in profiles(counts)}
-            p = rng.choice(list(table))
-            table[p] = rng.choice([table[p], table[p][:-1], table[p] + [0], 5, ["x"] * len(counts)])
-            ordered = game_module._ProfileOrdered(counts, list(table.values()))
-            assert dict(ordered) == table
-            assert _outcome(Game, counts, ordered) == _outcome(Game, counts, table)
 
 
 class TestRoundTrip:
