@@ -40,14 +40,14 @@ def _parse_profile_spec(game: Game, spec: str) -> MixedProfile:
         raw = json.loads(spec, parse_float=rational)
     except (json.JSONDecodeError, RecursionError) as exc:   # or too deeply nested to decode
         raise ValueError(f"profile spec is neither 'uniform' nor valid JSON: {exc}")
+    except ValueError as exc:   # a number, integer or decimal, past the digit limit
+        raise ValueError(f"profile spec: number too large: {exc}") from None
     if not isinstance(raw, list) or len(raw) != game.player_count:
         raise ValueError(f"profile spec must list {game.player_count} probability vectors")
     strategies = []
     for j, (vec, m) in enumerate(zip(raw, game.strategy_counts)):
-        if not isinstance(vec, list):
-            raise ValueError(f"player {j + 1}: expected a probability vector")
         try:
-            strategies.append(MixedStrategy(tuple(vec)))
+            strategies.append(MixedStrategy(vec))
         except (ValueError, TypeError) as exc:
             raise ValueError(f"player {j + 1}: bad probability vector ({exc})")
         if len(vec) != m:

@@ -89,9 +89,9 @@ def is_nash(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
 def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSupportResult:
     """Max of the player's expected payoff over all pure complements, with
     every maximizer.  By multilinearity this bounds all mixed complements."""
-    if len(strategy) != game.strategy_counts[player]:
-        raise ValueError("strategy does not match the player's strategy count")
     rows, den = game.own_by_complement(player)
+    if len(strategy) != len(rows):
+        raise ValueError("strategy does not match the player's strategy count")
     own, d = _numerators([strategy])
     values = _mix(own, rows)
     best = max(values)

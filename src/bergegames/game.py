@@ -85,8 +85,10 @@ def _vectors_by_profile(table, counts: tuple[int, ...]) -> list:
             raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
         vectors.append(vec)
     if len(table) != math.prod(counts):
-        extra = set(table) - set(profiles(counts))
-        raise ValueError(f"payoff table has entries for invalid profiles: {sorted(extra)}")
+        valid = set(profiles(counts))
+        extra = itertools.islice(itertools.filterfalse(valid.__contains__, table), 5)
+        raise ValueError("payoff table has entries for invalid profiles: "
+                         f"[{', '.join(_clip(repr(p)) for p in extra)}]")
     return vectors
 
 
@@ -183,7 +185,7 @@ class MixedStrategy:
 
     @classmethod
     def uniform(cls, size: int) -> "MixedStrategy":
-        return cls((Fraction(1, size),) * size)
+        return cls(tuple(Fraction(1, size) for _ in range(size)))
 
 
 @dataclass(frozen=True)
@@ -298,6 +300,8 @@ class Game:
         if len(profile) != self.player_count:
             raise ValueError(f"profile {profile} has wrong length")
         for j, (i, m) in enumerate(zip(profile, self._counts)):
+            if type(i) is not int:
+                raise TypeError(f"strategy index {_clip(repr(i))} of player {j} is not an integer")
             if not 0 <= i < m:
                 raise ValueError(f"strategy index {i} of player {j} out of range [0, {m})")
         return profile
@@ -385,7 +389,7 @@ class Game:
         return MixedProfile(tuple(map(MixedStrategy.uniform, self._counts)))
 
     def name_of(self, profile: Sequence[int]) -> tuple[str, ...]:
-        return tuple(self._names[j][i] for j, i in enumerate(profile))
+        return tuple(self._names[j][i] for j, i in enumerate(self.validate_pure(profile)))
 
     def __eq__(self, other):
         if not isinstance(other, Game):

@@ -9,14 +9,14 @@ Document layout::
 
 Payoff entries are integers or strings "num/den"; floating-point numbers
 are rejected so the format stays exact.  Each payoff record names its
-profile explicitly, so record order does not matter: records are matched
-to profiles by sorting.  `parse_game` checks the structure, each 'u' a
-list of one entry per player included, and hands the payoff lists, in
-profile order, to `Game`, which takes them as they are and reads each
-distinct entry once with `game.rational`: a bad payoff is reported only in
-a sound structure, and of several, the first in profile order.  A sound
-structure is recognised in whole-list passes; only when one fails are the
-records walked one at a time, to name the first defect in document order.
+profile explicitly, so record order does not matter.  `parse_game` checks
+the structure, each 'u' a list of one entry per player included, and hands
+the payoff lists, in profile order, to `Game`, which takes them as they are
+and reads each distinct entry once with `game.rational`: a bad payoff is
+reported only in a sound structure, and of several, the first in profile
+order.  Whole-list passes recognise a sound document in profile order, as
+`serialize_game` writes it; any other is read one record at a time, in
+document order, which matches records to profiles or names the first defect.
 """
 
 from __future__ import annotations
@@ -81,30 +81,22 @@ def _profile_lists(counts: tuple[int, ...]) -> list[list[int]]:
 
 def _table_in_passes(records: list, counts: tuple[int, ...]):
     # The payoff lists of a sound document in profile order, checked in
-    # whole-list passes, or None if any check fails.  With as many records as
-    # the shape has profiles, and their profiles, sorted, equal to the shape's,
-    # each profile comes exactly once: none twice, missing, out of range or of
-    # the wrong length.  The count is compared first, so no pass runs longer
-    # than the document; the indices must be ints, as list equality reads
-    # true as 1.
-    n = len(counts)
-    if len(records) != math.prod(counts) or set(map(type, records)) != {dict}:
+    # whole-list passes, or None if any check fails or the records come in
+    # another order.  Profiles equal to the shape's, in order, come once each:
+    # none twice, missing, out of range or of the wrong length.  The count is
+    # compared first, so no pass runs longer than the document; the indices
+    # must be ints, as list equality reads true as 1.
+    if len(records) != math.prod(counts):
         return None
-    try:
+    try:   # a record that is not an object has no members to get
         raws = list(map(operator.itemgetter("profile"), records))
         us = list(map(operator.itemgetter("u"), records))
-    except KeyError:
+    except (KeyError, TypeError):
         return None
-    if (set(map(type, raws)) != {list}
+    if (raws != _profile_lists(counts)
             or set(map(type, itertools.chain.from_iterable(raws))) != {int}
-            or set(map(type, us)) != {list} or set(map(len, us)) != {n}):
+            or set(map(type, us)) != {list} or set(map(len, us)) != {len(counts)}):
         return None
-    canonical = _profile_lists(counts)
-    if raws != canonical:   # records out of profile order
-        order = sorted(range(len(raws)), key=raws.__getitem__)
-        if list(map(raws.__getitem__, order)) != canonical:
-            return None
-        us = list(map(us.__getitem__, order))
     return _ProfileOrdered(us)
 
 

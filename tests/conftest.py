@@ -174,8 +174,10 @@ def reference_vectors(table, counts):
             raise ValueError(f"payoff vector at {profile} has length {len(vec)}, expected {n}")
         vectors.append(vec)
     if len(table) != math.prod(counts):
-        extra = set(table) - set(profiles(counts))
-        raise ValueError(f"payoff table has entries for invalid profiles: {sorted(extra)}")
+        valid = set(profiles(counts))
+        extra = [p for p in table if p not in valid][:5]
+        raise ValueError("payoff table has entries for invalid profiles: "
+                         f"[{', '.join(_clip(repr(p)) for p in extra)}]")
     return vectors
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from bergegames import builtin_game, serialize_game
 from bergegames.cli import main
+from bergegames.game import digit_limit
 
 
 def _builtin_doc(name):
@@ -54,6 +55,14 @@ def ties_file(tmp_path):
     path = tmp_path / "ties.json"
     path.write_text(json.dumps(_TIES_DOC))
     return str(path)
+
+
+def _int_conversion_error(digits):
+    # The interpreter's own message for an integer past its digit limit.
+    try:
+        int("9" * digits)
+    except ValueError as exc:
+        return str(exc)
 
 
 def run(capsys, *argv):
@@ -379,6 +388,21 @@ class TestErrors:
                              '[["1"],["1/2","1/2"],["1/2","1/2"]]', "--kind", "berge")
         assert (code, out) == (1, "")
         assert err == "error: player 1: probability vector has length 1, expected 2\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ('[["1/2","1/3"],["1/2","1/2"],["1/2","1/2"]]',
+         "player 1: bad probability vector (probabilities must sum to exactly 1, got 5/6)"),
+        ('[5,["1/2","1/2"],["1/2","1/2"]]',
+         "player 1: bad probability vector (probabilities must be a list or tuple)"),
+        ("[[" + "9" * 5000 + ",0],[1,0],[1,0]]",
+         "profile spec: number too large: " + _int_conversion_error(5000)),
+        ('[[1e2000000,0],[1,0],[1,0]]',
+         "profile spec: number too large: malformed rational '1e2000000' "
+         f"('1e2000000' needs more than {digit_limit()} decimal digits)"),
+    ], ids=["not-normalized", "not-a-list", "oversized-integer", "oversized-decimal"])
+    def test_bad_profile_vector(self, capsys, eq5_file, spec, message):
+        code, out, err = run(capsys, "check", eq5_file, "--profile", spec, "--kind", "berge")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_deeply_nested_input(self, capsys, tmp_path, eq5_file):
         path = tmp_path / "deep.json"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import Game, MixedProfile, MixedStrategy, parse_game, serialize_game
+from bergegames import Game, MixedProfile, MixedStrategy, is_berge, parse_game, serialize_game
 from bergegames.game import digit_limit
 
 from conftest import (oracle_expected_payoff, random_profile, random_rational_table,
@@ -116,6 +116,42 @@ class TestConstruction:
         g = Game((1,), {(0,): (0,)})
         assert g.payoff((0,), 0) == 0
         assert g.expected_payoff(g.point((0,)), 0) == 0
+
+
+_U2 = MixedStrategy.uniform(2)
+
+
+class TestRefusals:
+    # Each refusal of outside input, with its exact message, on eq5 where a game is needed.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda g: g.name_of((-1, 0, 0)), ValueError,
+         "strategy index -1 of player 0 out of range [0, 2)"),
+        (lambda g: g.point((True, 0, 0)), TypeError,
+         "strategy index True of player 0 is not an integer"),
+        (lambda g: g.payoff((1.0, 0, 0), 0), TypeError,
+         "strategy index 1.0 of player 0 is not an integer"),
+        (lambda g: MixedStrategy.uniform(0), ValueError,
+         "a mixed strategy needs at least one pure strategy"),
+        (lambda g: MixedStrategy(()), ValueError,
+         "a mixed strategy needs at least one pure strategy"),
+        (lambda g: g.uniform().replace(3, _U2), ValueError, "player 3 out of range"),
+        (lambda g: Game((0,), {}), ValueError, "every player needs at least one strategy"),
+        (lambda g: Game((1,), {(0,): [1]}, [["a", "b"]]), ValueError,
+         "strategy_names shape does not match strategy_counts"),
+        (lambda g: Game((1,), {(0,): [1], "x": [2], 5: [3]}), ValueError,
+         "payoff table has entries for invalid profiles: ['x', 5]"),
+        (lambda g: Game((1,), {(k,): [0] for k in range(3000)}), ValueError,
+         "payoff table has entries for invalid profiles: [(1,), (2,), (3,), (4,), (5,)]"),
+        (lambda g: is_berge(g, MixedProfile((MixedStrategy.uniform(3), _U2, _U2))), ValueError,
+         "strategy of player 0 has length 3, expected 2"),
+    ], ids=["name-of-negative-index", "bool-index", "float-index", "uniform-of-none",
+            "empty-strategy", "replace-player-out-of-range", "no-strategies",
+            "names-of-wrong-shape", "unsortable-extra-keys", "many-extra-keys",
+            "berge-check-of-wrong-length"])
+    def test_exact_message(self, eq5, call, error, message):
+        with pytest.raises(error) as exc:
+            call(eq5)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestPayoff:

@@ -170,6 +170,19 @@ class TestParse:
         with pytest.raises(GameFormatError, match="out of range"):
             parse_game(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "document must be a JSON object"),
+        ({"strategies": [["a"]], "payoffs": []}, "missing member 'players'"),
+        ({"players": 1, "strategies": [[]], "payoffs": []},
+         "'strategies' must be one nonempty list of names per player"),
+        ({"players": 1, "strategies": [["a"]], "payoffs": {}},
+         "'payoffs' must be a list of records"),
+    ], ids=["not-an-object", "no-players", "empty-strategy-list", "payoffs-not-a-list"])
+    def test_header_refusals(self, doc, message):
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(json.dumps(doc))
+        assert str(exc.value) == message
+
 
 def _two_by_two(*records):
     return json.dumps({"players": 2, "strategies": [["a", "b"], ["c", "d"]],
@@ -395,8 +408,9 @@ class TestReaderMatchesReference:
     def test_passes_refuse_what_the_record_loop_refuses(self):
         # Game takes the reader's payoff lists without checking them again (a
         # 'u' list one entry short would misalign its tensors), so the passes
-        # must refuse every document the record loop refuses, and agree with
-        # it on the rest.
+        # must refuse every document the record loop refuses.  They return
+        # lists exactly for the documents it accepts whose records come in
+        # profile order, and the same lists; the loop reads all others.
         docs = itertools.chain(_mutated_docs(), _misordered_docs("shuffled"),
                                _misordered_docs("reversed"))
         outcomes = collections.Counter()
@@ -407,10 +421,13 @@ class TestReaderMatchesReference:
                 by_record = gamefile._table_by_record(records, counts)
             except GameFormatError:
                 by_record = None
-            assert (passes is None) == (by_record is None), records
+            in_order = by_record is not None and (
+                [r["profile"] for r in records] == list(map(list, profiles(counts))))
+            assert (passes is not None) == in_order, records
             assert passes is None or passes == by_record
-            outcomes[passes is None] += 1
-        assert outcomes[True] >= 1000 and outcomes[False] >= 500
+            outcomes[passes is not None, by_record is not None] += 1
+        assert outcomes[False, False] >= 1500 and not outcomes[True, False]
+        assert outcomes[False, True] >= 250 and outcomes[True, True] >= 250
 
     def test_game_tables(self):
         # Game walks any table but the reader's one profile at a time; a
@@ -453,7 +470,8 @@ class TestReaderMatchesReference:
         monkeypatch.setattr(game_module, "_vectors_by_profile", located)
         assert parse_game(json.dumps(doc)) == expected
 
-    # The passes sort records out of profile order; the reference never does.
+    # Records out of profile order are read by the record walk, which names
+    # the first defect in document order, as the reference does.
     @pytest.mark.parametrize("order", ["shuffled", "reversed"])
     def test_record_orders(self, order):
         kinds, errors = collections.Counter(), []
@@ -470,18 +488,25 @@ class TestReaderMatchesReference:
         assert any("integer indices" in e for e in errors)
 
     @pytest.mark.parametrize("order", ["shuffled", "reversed"])
-    def test_sound_misordered_document_skips_the_locators(self, monkeypatch, order):
+    def test_misordered_document_walked_once(self, monkeypatch, order):
         doc, expected = _tied_5555()
         if order == "shuffled":
             random.Random(1720).shuffle(doc["payoffs"])
         else:
             doc["payoffs"].reverse()
+        walked = []
+
+        def walk(*args):
+            walked.append(args)
+            return by_record(*args)
 
         def located(*_):
-            raise AssertionError("a sound document entered a defect locator")
-        monkeypatch.setattr(gamefile, "_table_by_record", located)
+            raise AssertionError("a sound document entered Game's defect locator")
+        by_record = gamefile._table_by_record
+        monkeypatch.setattr(gamefile, "_table_by_record", walk)
         monkeypatch.setattr(game_module, "_vectors_by_profile", located)
         assert parse_game(json.dumps(doc)) == expected
+        assert len(walked) == 1
 
 
 class TestRoundTrip:

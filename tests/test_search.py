@@ -300,6 +300,11 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_min_deficiency(eq5, 0)
 
+    def test_top_must_be_positive(self, eq5):
+        with pytest.raises(ValueError) as exc:
+            grid_search_min_deficiency(eq5, 2, top=0)
+        assert str(exc.value) == "top must be a positive integer"
+
     def test_oversized_grid_refused_before_listing(self, eq5, monkeypatch):
         # eq5 has k + 1 points per player: 10^15 at k = 10^5, 10^27 at 10^9.
         # A 2-strategy solo player has k + 1 points: 10^7 is allowed.
