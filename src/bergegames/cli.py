@@ -10,12 +10,8 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import equilibria, search
 from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError, rational
@@ -147,33 +143,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_bsg(args) -> int:
-    game = load_game(args.file)
-    if game.strategy_counts != (2, 2, 2):   # the CSV has a column per player: p, q, r
-        raise UnsupportedGameError(f"requires a 2x2x2 game, got shape {game.strategy_counts}")
-    faces = _box_coordinates(game, search.decide_berge_existence_oi222(game).per_player_graphs)
-    sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".json"
-    for path in (args.out, sidecar):
-        if os.path.exists(path) and os.path.samefile(path, args.file):
-            raise ValueError(f"bsg would write {path} over its input {args.file}")
-    # Each face sampled on a grid of step 1/20 in its free coordinates.
-    ticks = [Fraction(t, 20) for t in range(21)]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["player", "p", "q", "r", "face"])
-        for j, graph in enumerate(faces):
-            for face in graph:
-                axes = [ticks if c == "*" else [Fraction(c)] for c in face]
-                for point in itertools.product(*axes):
-                    writer.writerow([j + 1, *point, _tuple_str(face)])
-    payload = {"players": [{"player": j + 1, "faces": graph}
-                           for j, graph in enumerate(faces)]}
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out} and {sidecar}")
-    return 0
-
-
 def _cmd_builtin(args) -> int:
     text = serialize_game(builtin_game(args.name))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -212,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, required=True, metavar="K")
     p.add_argument("--top", type=int, default=10, metavar="T")
 
-    p = sub.add_parser("bsg", help="export best-support graphs as CSV + JSON")
-    p.add_argument("file")
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("builtin", help="write a built-in game document")
     p.add_argument("name", help="one of: " + ", ".join(BUILTIN_NAMES))
     p.add_argument("--out", required=True)
@@ -224,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the help (0) or a usage error (1)
+        return 1 if exc.code == 2 else exc.code
     handlers = {
         "info": _cmd_info,
         "pure-nash": lambda a: _cmd_enumerate(a, "nash"),
@@ -232,7 +200,6 @@ def main(argv=None) -> int:
         "check": _cmd_check,
         "decide-berge": _cmd_decide_berge,
         "search": _cmd_search,
-        "bsg": _cmd_bsg,
         "builtin": _cmd_builtin,
     }
     try:
@@ -246,10 +213,7 @@ def main(argv=None) -> int:
     except UnsupportedGameError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:   # say, a directory where a file was expected
+    except (ValueError, OSError) as exc:   # OSError: say, a directory where a file was expected
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -119,9 +119,25 @@ def _reduce(game: "Game", profile: "MixedProfile", player: int, nash: bool):
     return _mix(first, zip(*rows) if nash else rows), den * d_first, other
 
 
-def _clip(text: str) -> str:
-    # An echo of outside input in an error message, cut to a short prefix.
+def _clip(value) -> str:
+    # An echo of outside input in an error message: its str, cut to a short
+    # prefix, or its type where there is none (an int past the interpreter's
+    # digit limit, or a tuple holding one).
+    try:
+        text = str(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= 80 else text[:80] + "..."
+
+
+def _checked_index(index, size: int, label: str) -> int:
+    # A player or strategy index from outside: a non-bool int in range(size),
+    # else TypeError or ValueError; `label` names it, "{}" standing for it.
+    if type(index) is not int:
+        raise TypeError(label.format(_clip(repr(index))) + " is not an integer")
+    if not 0 <= index < size:
+        raise ValueError(label.format(_clip(index)) + f" out of range [0, {size})")
+    return index
 
 
 def rational(value) -> Fraction:
@@ -179,8 +195,7 @@ class MixedStrategy:
     @classmethod
     def point(cls, index: int, size: int) -> "MixedStrategy":
         """The pure strategy `index` embedded as a point distribution."""
-        if not 0 <= index < size:
-            raise ValueError(f"strategy index {index} out of range for {size} strategies")
+        _checked_index(index, size, "strategy index {}")
         return cls(tuple(Fraction(int(j == index)) for j in range(size)))
 
     @classmethod
@@ -205,13 +220,10 @@ class MixedProfile:
 
     def replace(self, player: int, strategy: MixedStrategy) -> "MixedProfile":
         """The profile with coordinate `player` swapped for `strategy`."""
-        if not 0 <= player < len(self.strategies):
-            raise ValueError(f"player {player} out of range")
+        _checked_index(player, len(self.strategies), "player {}")
         if len(strategy) != len(self.strategies[player]):
             raise ValueError("replacement strategy has the wrong number of pure strategies")
-        parts = list(self.strategies)
-        parts[player] = strategy
-        return MixedProfile(tuple(parts))
+        return MixedProfile(self.strategies[:player] + (strategy,) + self.strategies[player + 1:])
 
 
 class Game:
@@ -298,12 +310,9 @@ class Game:
     def validate_pure(self, profile: Sequence[int]) -> PureProfile:
         profile = tuple(profile)
         if len(profile) != self.player_count:
-            raise ValueError(f"profile {profile} has wrong length")
+            raise ValueError(f"profile {_clip(profile)} has wrong length")
         for j, (i, m) in enumerate(zip(profile, self._counts)):
-            if type(i) is not int:
-                raise TypeError(f"strategy index {_clip(repr(i))} of player {j} is not an integer")
-            if not 0 <= i < m:
-                raise ValueError(f"strategy index {i} of player {j} out of range [0, {m})")
+            _checked_index(i, m, f"strategy index {{}} of player {j}")
         return profile
 
     def validate_profile(self, profile: MixedProfile) -> MixedProfile:
@@ -320,10 +329,7 @@ class Game:
 
     def payoff(self, profile: Sequence[int], player: int) -> Fraction:
         """The stored payoff of `player` at a pure profile."""
-        index = self._index(profile)
-        if not 0 <= player < self.player_count:
-            raise ValueError(f"player {player} out of range")
-        return Fraction(self._tensors[player][index], self._scale)
+        return self.payoff_vector(profile)[_checked_index(player, self.player_count, "player {}")]
 
     def payoff_vector(self, profile: Sequence[int]) -> tuple[Fraction, ...]:
         index = self._index(profile)
@@ -333,8 +339,7 @@ class Game:
         """The player's payoffs as ints over the common denominator returned
         with them: row `a` for own strategy `a`, entry `c` of a row for the
         c-th complement (co-players in increasing order), lexicographic."""
-        if not 0 <= player < self.player_count:
-            raise ValueError(f"player {player} out of range")
+        _checked_index(player, self.player_count, "player {}")
         return _by_axis(self._tensors[player], self._counts, player), self._scale
 
     def attains_best(self, player: int, over_own: bool) -> list[bool]:

@@ -1,5 +1,3 @@
-import csv
-import hashlib
 import importlib
 import itertools
 import json
@@ -265,71 +263,6 @@ class TestSearch:
         assert "positive" in err
 
 
-class TestBsg:
-    def test_eq5_rows_lie_on_the_three_edges(self, capsys, eq5_file, tmp_path):
-        out_path = str(tmp_path / "graphs.csv")
-        code, _, _ = run(capsys, "bsg", eq5_file, "--out", out_path)
-        assert code == 0
-        from fractions import Fraction
-        edges = {1: (None, Fraction(1), Fraction(1)),
-                 2: (Fraction(1), None, Fraction(0)),
-                 3: (Fraction(0), Fraction(0), None)}
-        rows = list(csv.DictReader(open(out_path)))
-        assert len(rows) == 3 * 21
-        for row in rows:
-            edge = edges[int(row["player"])]
-            point = tuple(Fraction(row[c]) for c in ("p", "q", "r"))
-            for x, e in zip(point, edge):
-                assert e is None or x == e
-        sidecar = json.load(open(str(tmp_path / "graphs.json")))
-        faces = {p["player"]: p["faces"] for p in sidecar["players"]}
-        assert faces == {1: [["*", 1, 1]], 2: [[1, "*", 0]], 3: [[0, 0, "*"]]}
-
-    def test_multi_face_graphs_full_output(self, capsys, ties_file, tmp_path):
-        # Each face of two free coordinates gives 21 x 21 rows, in face
-        # order, then p, q, r ascending.  Not ties.csv: its JSON sidecar
-        # would be ties.json, the input, which bsg refuses to overwrite.
-        out_path = tmp_path / "graphs.csv"
-        code, out, _ = run(capsys, "bsg", ties_file, "--out", str(out_path))
-        assert code == 0
-        assert out == f"wrote {out_path} and {tmp_path / 'graphs.json'}\n"
-        data = out_path.read_bytes()
-        lines = data.decode().split("\r\n")
-        assert len(lines) == 1 + 6 * 21 * 21 + 1
-        assert lines[:3] == ["player,p,q,r,face",
-                             '1,0,1,0,"(*,1,*)"', '1,0,1,1/20,"(*,1,*)"']
-        assert lines[440:443] == ['1,1,1,19/20,"(*,1,*)"', '1,1,1,1,"(*,1,*)"',
-                                  '1,0,0,0,"(*,*,0)"']
-        assert lines[-3:] == ['3,1,1,19/20,"(*,1,*)"', '3,1,1,1,"(*,1,*)"', ""]
-        assert hashlib.sha256(data).hexdigest() == (
-            "a1b7151cdbe139f1f2beffe3b66183320f76eb34889aaaddee825f3eadab277c")
-        faces = {1: [["*", 1, "*"], ["*", "*", 0]], 2: [[1, "*", "*"], ["*", "*", 0]],
-                 3: [[1, "*", "*"], ["*", 1, "*"]]}
-        expected = {"players": [{"player": j, "faces": faces[j]} for j in (1, 2, 3)]}
-        assert (tmp_path / "graphs.json").read_text() == json.dumps(expected, indent=2)
-
-    def test_unsupported_game(self, capsys, pd_file, tmp_path):
-        # The CSV has a column per player of a 2x2x2 game: p, q, r.
-        code, out, err = run(capsys, "bsg", pd_file, "--out", str(tmp_path / "x.csv"))
-        assert (code, out) == (2, "")
-        assert err == "unsupported: requires a 2x2x2 game, got shape (2, 2)\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pd.json"]
-
-    @pytest.mark.parametrize("out_name, written", [
-        ("eq5.json", "eq5.json"), ("eq5.csv", "eq5.json"), ("./eq5.json", "./eq5.json"),
-        ("./eq5.csv", "./eq5.json"), ("eq5", "eq5.json")],
-        ids=["csv", "sidecar", "csv-spelled", "sidecar-spelled", "sidecar-no-suffix"])
-    def test_never_overwrites_its_input(self, capsys, eq5_file, tmp_path, monkeypatch,
-                                        out_name, written):
-        monkeypatch.chdir(tmp_path)
-        before = Path(eq5_file).read_bytes()
-        code, out, err = run(capsys, "bsg", "eq5.json", "--out", out_name)
-        assert (code, out) == (1, "")
-        assert err == f"error: bsg would write {written} over its input eq5.json\n"
-        assert Path(eq5_file).read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["eq5.json"]
-
-
 class TestBuiltinCommand:
     def test_writes_document(self, capsys, tmp_path):
         out_path = str(tmp_path / "pd.json")
@@ -344,6 +277,25 @@ class TestBuiltinCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["search", "{eq5}"],
+        ["frobnicate", "{eq5}"],
+        ["check", "{eq5}", "--profile", "uniform", "--kind", "foo"],
+        ["search", "{eq5}", "--resolution", "x"],
+        ["bsg", "{eq5}", "--out", "x.csv"],
+    ], ids=["missing-option", "unknown-command", "bad-choice", "bad-int", "retired-bsg"])
+    def test_usage_error(self, capsys, eq5_file, argv):
+        # A malformed command line is an input error: exit 1, after argparse's usage line.
+        code, out, err = run(capsys, *(a.format(eq5=eq5_file) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: bergegames ")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: bergegames ")
+        assert "bsg" not in out and "decide-berge" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "info", "/no/such/file.json")
         assert code == 1

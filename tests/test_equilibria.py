@@ -86,14 +86,15 @@ class TestBestSupport:
             assert result.value == 2
             assert result.supports == (support,)
 
-    @pytest.mark.parametrize("player, size, message", [
-        (5, 2, "player 5 out of range"),
-        (0, 3, "strategy does not match the player's strategy count"),
-    ], ids=["player-out-of-range", "wrong-length-strategy"])
-    def test_refusals(self, eq5, player, size, message):
-        with pytest.raises(ValueError) as exc:
+    @pytest.mark.parametrize("player, size, error, message", [
+        (5, 2, ValueError, "player 5 out of range [0, 3)"),
+        (True, 2, TypeError, "player True is not an integer"),
+        (0, 3, ValueError, "strategy does not match the player's strategy count"),
+    ], ids=["player-out-of-range", "bool-player", "wrong-length-strategy"])
+    def test_refusals(self, eq5, player, size, error, message):
+        with pytest.raises(error) as exc:
             best_support(eq5, player, MixedStrategy.uniform(size))
-        assert type(exc.value) is ValueError and str(exc.value) == message
+        assert type(exc.value) is error and str(exc.value) == message
 
     def test_supports_attain_and_nothing_exceeds(self):
         rng = random.Random(29)

@@ -134,7 +134,25 @@ class TestRefusals:
          "a mixed strategy needs at least one pure strategy"),
         (lambda g: MixedStrategy(()), ValueError,
          "a mixed strategy needs at least one pure strategy"),
-        (lambda g: g.uniform().replace(3, _U2), ValueError, "player 3 out of range"),
+        (lambda g: g.uniform().replace(3, _U2), ValueError, "player 3 out of range [0, 3)"),
+        (lambda g: g.uniform().replace(True, _U2), TypeError, "player True is not an integer"),
+        (lambda g: g.payoff((0, 0, 0), True), TypeError, "player True is not an integer"),
+        (lambda g: g.payoff((0, 0, 0), "1"), TypeError, "player '1' is not an integer"),
+        (lambda g: g.payoff((0, 0, 0), 3), ValueError, "player 3 out of range [0, 3)"),
+        (lambda g: g.own_by_complement(True), TypeError, "player True is not an integer"),
+        (lambda g: g.expected_payoff(g.uniform(), True), TypeError,
+         "player True is not an integer"),
+        (lambda g: MixedStrategy.point(True, 2), TypeError, "strategy index True is not an integer"),
+        (lambda g: MixedStrategy.point(2, 2), ValueError, "strategy index 2 out of range [0, 2)"),
+        (lambda g: g.payoff(tuple(range(100000)), 0), ValueError,
+         "profile (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, "
+         "21, 2... has wrong length"),
+        (lambda g: g.payoff((10**5000, 0, 0), 0), ValueError,
+         "strategy index <int too long to print> of player 0 out of range [0, 2)"),
+        (lambda g: g.payoff((0, 0, 0, 10**5000), 0), ValueError,
+         "profile <tuple too long to print> has wrong length"),
+        (lambda g: g.payoff((0, 0, 0), -10**5000), ValueError,
+         "player <int too long to print> out of range [0, 3)"),
         (lambda g: Game((0,), {}), ValueError, "every player needs at least one strategy"),
         (lambda g: Game((1,), {(0,): [1]}, [["a", "b"]]), ValueError,
          "strategy_names shape does not match strategy_counts"),
@@ -145,7 +163,11 @@ class TestRefusals:
         (lambda g: is_berge(g, MixedProfile((MixedStrategy.uniform(3), _U2, _U2))), ValueError,
          "strategy of player 0 has length 3, expected 2"),
     ], ids=["name-of-negative-index", "bool-index", "float-index", "uniform-of-none",
-            "empty-strategy", "replace-player-out-of-range", "no-strategies",
+            "empty-strategy", "replace-player-out-of-range", "replace-bool-player",
+            "payoff-bool-player", "payoff-str-player", "payoff-player-out-of-range",
+            "own-by-complement-bool-player", "expected-payoff-bool-player", "point-bool-index",
+            "point-index-out-of-range", "long-profile-clipped", "huge-index",
+            "long-profile-of-huge-index", "huge-player", "no-strategies",
             "names-of-wrong-shape", "unsortable-extra-keys", "many-extra-keys",
             "berge-check-of-wrong-length"])
     def test_exact_message(self, eq5, call, error, message):
