@@ -68,9 +68,10 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args, kind: str) -> int:
+def _cmd_enumerate(args) -> int:
     game = load_game(args.file)
-    finder = equilibria.enumerate_pure_nash if kind == "nash" else equilibria.enumerate_pure_berge
+    # Looked up at each call, not stored in the parser, so a patched function is the one run.
+    finder = getattr(equilibria, f"enumerate_pure_{args.kind}")
     profiles = finder(game)
     for profile in profiles:
         print(" ".join(game.name_of(profile)))
@@ -159,11 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="game shape, constant sum, own-payoff independence")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_info)
 
     p = sub.add_parser("pure-nash", help="enumerate pure Nash equilibria")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_enumerate, kind="nash")
     p = sub.add_parser("pure-berge", help="enumerate pure Berge equilibria")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_enumerate, kind="berge")
 
     p = sub.add_parser("check", help="check a mixed profile exactly")
     p.add_argument("file")
@@ -171,19 +175,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'uniform' or a JSON list of per-player probability vectors "
                         "of rational strings, e.g. '[[\"1/2\",\"1/2\"],...]'")
     p.add_argument("--kind", required=True, choices=("nash", "berge"))
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("decide-berge",
                        help="exact mixed Berge existence for own-payoff-independent games")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_decide_berge)
 
     p = sub.add_parser("search", help="exact Berge-deficiency grid search")
     p.add_argument("file")
     p.add_argument("--resolution", type=int, required=True, metavar="K")
     p.add_argument("--top", type=int, default=10, metavar="T")
+    p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser("builtin", help="write a built-in game document")
     p.add_argument("name", help="one of: " + ", ".join(BUILTIN_NAMES))
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_builtin)
 
     return parser
 
@@ -193,17 +201,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse has printed the help (0) or a usage error (1)
         return 1 if exc.code == 2 else exc.code
-    handlers = {
-        "info": _cmd_info,
-        "pure-nash": lambda a: _cmd_enumerate(a, "nash"),
-        "pure-berge": lambda a: _cmd_enumerate(a, "berge"),
-        "check": _cmd_check,
-        "decide-berge": _cmd_decide_berge,
-        "search": _cmd_search,
-        "builtin": _cmd_builtin,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 1

@@ -42,11 +42,16 @@ def profiles(counts: Sequence[int]) -> Iterator[PureProfile]:
 
 
 def digit_limit() -> int:
-    """The most decimal digits a payoff's numerator or denominator, or the
-    common denominator of a game's payoffs, may need: the interpreter's own
-    int/str conversion limit, `sys.get_int_max_str_digits()`, or its default
-    of 4300 where that limit is switched off or the interpreter predates it."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    """The most decimal digits a numerator from outside, or the common
+    denominator of a game's payoffs or a strategy's probabilities, may need:
+    the interpreter's own int/str conversion limit, `sys.get_int_max_str_digits()`,
+    or its default of 4300 where it is switched off or the interpreter predates it."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300   # int() is 0
+
+
+def _too_long(k: int) -> bool:
+    # Does k need more than digit_limit() digits?  Under 8**limit, told by its bits alone.
+    return k.bit_length() > 3 * digit_limit() and abs(k) >= 10 ** digit_limit()
 
 
 def _by_axis(values: Sequence, counts: Sequence[int], axis: int) -> list[Sequence]:
@@ -88,7 +93,7 @@ def _vectors_by_profile(table, counts: tuple[int, ...]) -> list:
         valid = set(profiles(counts))
         extra = itertools.islice(itertools.filterfalse(valid.__contains__, table), 5)
         raise ValueError("payoff table has entries for invalid profiles: "
-                         f"[{', '.join(_clip(repr(p)) for p in extra)}]")
+                         f"[{', '.join(map(_clip, extra))}]")
     return vectors
 
 
@@ -119,12 +124,11 @@ def _reduce(game: "Game", profile: "MixedProfile", player: int, nash: bool):
     return _mix(first, zip(*rows) if nash else rows), den * d_first, other
 
 
-def _clip(value) -> str:
-    # An echo of outside input in an error message: its str, cut to a short
-    # prefix, or its type where there is none (an int past the interpreter's
-    # digit limit, or a tuple holding one).
+def _clip(value, show=repr) -> str:
+    # An echo of outside input in an error message: `show` of it, cut short, or its
+    # type where there is none (an int past the digit limit, or a list with one).
     try:
-        text = str(value)
+        text = show(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= 80 else text[:80] + "..."
@@ -134,7 +138,7 @@ def _checked_index(index, size: int, label: str) -> int:
     # A player or strategy index from outside: a non-bool int in range(size),
     # else TypeError or ValueError; `label` names it, "{}" standing for it.
     if type(index) is not int:
-        raise TypeError(label.format(_clip(repr(index))) + " is not an integer")
+        raise TypeError(label.format(_clip(index)) + " is not an integer")
     if not 0 <= index < size:
         raise ValueError(label.format(_clip(index)) + f" out of range [0, {size})")
     return index
@@ -143,32 +147,33 @@ def _checked_index(index, size: int, label: str) -> int:
 def rational(value) -> Fraction:
     """The exact rational a payoff or probability from outside stands for:
     a `Fraction` as it is, an `int`, or a string as `Fraction` reads it.  A
-    malformed string, or a decimal needing more than `digit_limit()` digits
-    (counted before any big-int work, so "1e2000000" fails at once), is a
-    ValueError; any other type, a bool or a float included, a TypeError."""
-    if isinstance(value, Fraction):
-        return value
+    malformed string, or a numerator or decimal needing more than
+    `digit_limit()` digits (a decimal's counted before any big-int work, so
+    "1e2000000" fails at once), is a ValueError; any other type, a bool or a
+    float included, a TypeError.  Denominators are bounded where they meet:
+    in a game's payoffs and in a mixed strategy, by their common denominator."""
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed, "
                         "use an integer or a 'num/den' string")
-    if not isinstance(value, str):
-        raise TypeError(f"cannot read a rational from {_clip(repr(value))}")
-    try:
-        limit = digit_limit()
-        mantissa, _, exponent = value.lower().partition("e")
-        magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        if magnitude.isdigit() and (
-                len(magnitude) > len(str(limit))
-                or sum(c.isdigit() for c in mantissa) + int(magnitude) > limit):
-            raise ValueError(f"{value[:40]!r} needs more than {limit} decimal digits")
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {_clip(repr(value))} "
-                         f"({_clip(str(exc))})") from None
+    if isinstance(value, str):
+        try:
+            limit = digit_limit()
+            mantissa, _, exponent = value.lower().partition("e")
+            magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+            if magnitude.isdigit() and (
+                    len(magnitude) > len(str(limit))
+                    or sum(c.isdigit() for c in mantissa) + int(magnitude) > limit):
+                raise ValueError(f"{value[:40]!r} needs more than {limit} decimal digits")
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed rational {_clip(value)} ({_clip(exc, str)})") from None
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot read a rational from {_clip(value)}")
+    if _too_long(value.numerator):
+        raise ValueError(f"numerator needs more than {digit_limit()} decimal digits")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,9 @@ class MixedStrategy:
             raise ValueError("probabilities must be nonnegative")
         if sum(probs) != 1:
             raise ValueError("probabilities must sum to exactly 1, got %s" % (sum(probs),))
+        if _too_long(math.lcm(*(p.denominator for p in probs))):
+            raise ValueError("the common denominator of the probabilities needs more "
+                             f"than {digit_limit()} decimal digits")
         object.__setattr__(self, "probs", probs)
 
     def __len__(self):
@@ -239,7 +247,7 @@ class Game:
     def __init__(self, strategy_counts: Sequence[int], table, strategy_names=None):
         counts = tuple(strategy_counts)
         if any(type(m) is not int for m in counts):
-            raise TypeError(f"strategy counts must be integers, got {_clip(repr(counts))}")
+            raise TypeError(f"strategy counts must be integers, got {_clip(counts)}")
         if not counts or any(m < 1 for m in counts):
             raise ValueError("every player needs at least one strategy")
         self._counts = counts
@@ -255,19 +263,13 @@ class Game:
                           for i, m in enumerate(counts))
         self._names = names
         flat = list(itertools.chain.from_iterable(vectors))
-        # Each distinct payoff is read once, in profile order, so the first
-        # bad one is reported.  An int or a str is its own key and any other
-        # key a tuple, so 1 never shares one with True or 1.0, which equal
-        # it: a Fraction's terms (Fraction.__hash__ is slow), else the type
-        # and identity of a value the reader refuses.
-        plain = set(map(type, flat)) <= {int, str}
-        keys = flat if plain else [
-            u if type(u) in (int, str) else u.as_integer_ratio() if type(u) is Fraction
-            else (type(u), id(u)) for u in flat]
-        values = dict.fromkeys(flat) if plain else dict(zip(keys, flat))
+        # Read in profile order, so the first bad payoff is reported: a document's, all ints
+        # and strs, once per distinct value, others by position (1, True, 1.0 are equal keys).
+        keys = flat if set(map(type, flat)) <= {int, str} else range(len(flat))
+        values = dict(zip(keys, flat))
         for key, u in values.items():
             try:
-                values[key] = rational(key if plain else u)
+                values[key] = rational(u)
             except (ValueError, TypeError) as exc:
                 k = keys.index(key)
                 profile = next(itertools.islice(profiles(counts), k // n, None))
@@ -275,12 +277,10 @@ class Game:
         # One common denominator, carried by every stored int: refused before
         # any payoff is scaled to it if it needs more than digit_limit()
         # digits, or all the payoffs together more than 1000 times that.
-        limit = digit_limit()
-        bound = 10 ** limit
-        scale = 1
+        limit, scale = digit_limit(), 1
         for d in {v.denominator for v in values.values()}:
             scale = math.lcm(scale, d)
-            if scale >= bound:
+            if _too_long(scale):
                 raise ValueError("the common denominator of the payoffs needs more "
                                  f"than {limit} decimal digits")
         if len(flat) * len(str(scale)) > 1000 * limit:

@@ -109,14 +109,14 @@ def _table_by_record(records: list, counts: tuple[int, ...]) -> _ProfileOrdered:
     table = {}
     for rec in records:
         if type(rec) is not dict or "profile" not in rec or "u" not in rec:
-            raise GameFormatError(f"payoff record {_clip(repr(rec))} needs 'profile' and 'u'")
+            raise GameFormatError(f"payoff record {_clip(rec)} needs 'profile' and 'u'")
         raw = rec["profile"]
         if type(raw) is not list or tuple(map(type, raw)) != int_profile:
-            raise GameFormatError(f"profile {_clip(repr(raw))} must be {n} integer indices")
+            raise GameFormatError(f"profile {_clip(raw)} must be {n} integer indices")
         profile = tuple(raw)
         if not all(map(range.__contains__, ranges, profile)):
             j = next(j for j, i in enumerate(profile) if i not in ranges[j])
-            raise GameFormatError(f"profile {_clip(repr(raw))}: index {_clip(repr(raw[j]))} "
+            raise GameFormatError(f"profile {_clip(raw)}: index {_clip(raw[j])} "
                                   f"of player {j + 1} out of range [0, {counts[j]})")
         if profile in table:
             raise GameFormatError(f"duplicate payoff record for profile {raw}")

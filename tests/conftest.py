@@ -177,7 +177,7 @@ def reference_vectors(table, counts):
         valid = set(profiles(counts))
         extra = [p for p in table if p not in valid][:5]
         raise ValueError("payoff table has entries for invalid profiles: "
-                         f"[{', '.join(_clip(repr(p)) for p in extra)}]")
+                         f"[{', '.join(_clip(p) for p in extra)}]")
     return vectors
 
 
@@ -191,14 +191,14 @@ def reference_parse(text: str) -> Game:
     table = {}
     for rec in doc["payoffs"]:
         if type(rec) is not dict or "profile" not in rec or "u" not in rec:
-            raise GameFormatError(f"payoff record {_clip(repr(rec))} needs 'profile' and 'u'")
+            raise GameFormatError(f"payoff record {_clip(rec)} needs 'profile' and 'u'")
         raw = rec["profile"]
         if type(raw) is not list or tuple(map(type, raw)) != int_profile:
-            raise GameFormatError(f"profile {_clip(repr(raw))} must be {n} integer indices")
+            raise GameFormatError(f"profile {_clip(raw)} must be {n} integer indices")
         profile = tuple(raw)
         if not all(map(range.__contains__, ranges, profile)):
             j = next(j for j, i in enumerate(profile) if i not in ranges[j])
-            raise GameFormatError(f"profile {_clip(repr(raw))}: index {_clip(repr(raw[j]))} "
+            raise GameFormatError(f"profile {_clip(raw)}: index {_clip(raw[j])} "
                                   f"of player {j + 1} out of range [0, {counts[j]})")
         if profile in table:
             raise GameFormatError(f"duplicate payoff record for profile {raw}")

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from bergegames import builtin_game, serialize_game
-from bergegames.cli import main
+from bergegames import builtin_game, equilibria, serialize_game
+from bergegames.cli import build_parser, main
 from bergegames.game import digit_limit
 
 
@@ -100,6 +100,15 @@ class TestEnumerate:
         code, out, _ = run(capsys, "pure-berge", pd_file)
         assert code == 0
         assert out.strip().splitlines() == ["C C", "count: 1"]
+
+    @pytest.mark.parametrize("kind", ["nash", "berge"])
+    def test_finder_looked_up_per_run(self, capsys, monkeypatch, pd_file, kind):
+        # Tracing wraps the module attribute, so a run must call the one set
+        # then, even from a command line parsed before.
+        args = build_parser().parse_args([f"pure-{kind}", pd_file])
+        monkeypatch.setattr(equilibria, f"enumerate_pure_{kind}", lambda game: [(1, 0)])
+        assert args.run(args) == 0
+        assert capsys.readouterr().out == "D C\ncount: 1\n"
 
 
 class TestCheck:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bergegames import Game, MixedProfile, MixedStrategy, is_berge, parse_game, serialize_game
-from bergegames.game import digit_limit
+from bergegames.game import digit_limit, rational
 
 from conftest import (oracle_expected_payoff, random_profile, random_rational_table,
                       random_strategy, random_game)
@@ -112,6 +112,55 @@ class TestConstruction:
                 Game(counts, {})
         assert Game([2], {(0,): (0,), (1,): (1,)}).strategy_counts == (2,)
 
+    def test_numerators_capped(self):
+        # A numerator of digit_limit() digits builds and survives the round
+        # trip; one digit more is refused, as a payoff (int or Fraction) and
+        # as a probability, before any number is formatted.
+        limit = digit_limit()
+        for u in (10 ** (limit - 1), -10 ** (limit - 1), Fraction(10 ** (limit - 1), 3)):
+            g = Game((2,), {(0,): (u,), (1,): (1,)})
+            assert parse_game(serialize_game(g)) == g and g.payoff((0,), 0) == u
+        message = f"numerator needs more than {limit} decimal digits"
+        for u in (10 ** limit, -10 ** limit, Fraction(10 ** limit, 3), 10 ** 5000):
+            with pytest.raises(ValueError) as exc:
+                Game((2,), {(0,): (1,), (1,): (u,)})
+            assert str(exc.value) == f"profile [1], player 1: {message}"
+        with pytest.raises(ValueError) as exc:
+            MixedStrategy((10 ** limit, 1 - 10 ** limit))
+        assert str(exc.value) == message
+
+    def test_probability_denominators_capped(self):
+        # A mixed strategy's common denominator may need at most digit_limit() digits.
+        limit = digit_limit()
+        d = 10 ** (limit - 1)
+        assert str(MixedStrategy((Fraction(1, d), 1 - Fraction(1, d))).probs[1]) == f"{d - 1}/{d}"
+        e = Fraction(1, 10 ** limit)
+        with pytest.raises(ValueError) as exc:
+            MixedStrategy((e, 1 - e))
+        assert str(exc.value) == ("the common denominator of the probabilities needs more "
+                                  f"than {limit} decimal digits")
+
+    def test_table_read_by_position(self):
+        # A table that is not all ints and strs is read entry by entry: True
+        # and 1.0 equal the Fraction(1) before them, yet are each refused at
+        # their own profile, the first in profile order reported.
+        table = {(0,): (Fraction(1),), (1,): (True,), (2,): (1.0,)}
+        with pytest.raises(TypeError) as exc:
+            Game((3,), table)
+        assert str(exc.value) == "profile [1], player 1: boolean is not a rational"
+        with pytest.raises(TypeError) as exc:
+            Game((2,), {(0,): (Fraction(1),), (1,): (1.0,)})
+        assert str(exc.value).startswith("profile [1], player 1: floating-point values")
+        # Equal Fractions give the game their ints give.
+        ints = {p: (p[0] % 2, 3, -p[1]) for p in itertools.product(range(2), range(3), range(2))}
+        fractions = {p: tuple(map(Fraction, u)) for p, u in ints.items()}
+        assert Game((2, 3, 2), fractions) == Game((2, 3, 2), ints)
+
+    def test_repr_and_foreign_equality(self, eq5):
+        assert repr(eq5) == "Game(3 players, 2x2x2)"
+        assert eq5.__eq__("eq5") is NotImplemented
+        assert eq5 != "eq5" and eq5 != 0
+
     def test_degenerate_game_ok(self):
         g = Game((1,), {(0,): (0,)})
         assert g.payoff((0,), 0) == 0
@@ -162,6 +211,16 @@ class TestRefusals:
          "payoff table has entries for invalid profiles: [(1,), (2,), (3,), (4,), (5,)]"),
         (lambda g: is_berge(g, MixedProfile((MixedStrategy.uniform(3), _U2, _U2))), ValueError,
          "strategy of player 0 has length 3, expected 2"),
+        (lambda g: rational([10**5000]), TypeError,
+         "cannot read a rational from <list too long to print>"),
+        (lambda g: g.payoff((0, 0, 0), [10**5000]), TypeError,
+         "player <list too long to print> is not an integer"),
+        (lambda g: Game(([10**5000],), {}), TypeError,
+         "strategy counts must be integers, got <tuple too long to print>"),
+        (lambda g: Game((1,), {(0,): [1], ((10**5000,),): [1]}), ValueError,
+         "payoff table has entries for invalid profiles: [<tuple too long to print>]"),
+        (lambda g: Game((1,), {(0,): [[10**5000]]}), TypeError,
+         "profile [0], player 1: cannot read a rational from <list too long to print>"),
     ], ids=["name-of-negative-index", "bool-index", "float-index", "uniform-of-none",
             "empty-strategy", "replace-player-out-of-range", "replace-bool-player",
             "payoff-bool-player", "payoff-str-player", "payoff-player-out-of-range",
@@ -169,7 +228,9 @@ class TestRefusals:
             "point-index-out-of-range", "long-profile-clipped", "huge-index",
             "long-profile-of-huge-index", "huge-player", "no-strategies",
             "names-of-wrong-shape", "unsortable-extra-keys", "many-extra-keys",
-            "berge-check-of-wrong-length"])
+            "berge-check-of-wrong-length", "rational-of-list-of-huge-int",
+            "player-list-of-huge-int", "counts-of-huge-int", "extra-key-of-huge-int",
+            "payoff-list-of-huge-int"])
     def test_exact_message(self, eq5, call, error, message):
         with pytest.raises(error) as exc:
             call(eq5)
