@@ -68,8 +68,8 @@ def _by_axis(values: Sequence, counts: Sequence[int], axis: int) -> list[Sequenc
 
 
 class _ProfileOrdered(list):
-    """Payoff vectors that the document reader has checked, in profile order:
-    one list per profile, of one entry per player.  Game takes them as they are."""
+    """The document reader's payoff vectors in profile order, unchecked: Game
+    checks them in whole-list passes, and walks them by profile to name a defect."""
 
 
 def _vectors_by_profile(table, counts: tuple[int, ...]) -> list:
@@ -78,6 +78,8 @@ def _vectors_by_profile(table, counts: tuple[int, ...]) -> list:
     # len(table) + 1 profiles stay, in order, and a table shorter than the
     # shape lacks one of them, so a huge shape costs no more than its table.
     n, cap = len(counts), len(table) + 1
+    if type(table) is _ProfileOrdered:   # vectors past the shape's end go to invalid profiles
+        table = dict(zip(profiles((counts[0] + len(table),) + counts[1:]), table))
     vectors = []
     for profile in profiles([min(m, cap) for m in counts]):
         try:
@@ -191,7 +193,7 @@ class MixedStrategy:
         if any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
         if sum(probs) != 1:
-            raise ValueError("probabilities must sum to exactly 1, got %s" % (sum(probs),))
+            raise ValueError(f"probabilities must sum to exactly 1, got {_clip(sum(probs), str)}")
         if _too_long(math.lcm(*(p.denominator for p in probs))):
             raise ValueError("the common denominator of the probabilities needs more "
                              f"than {digit_limit()} decimal digits")
@@ -237,11 +239,11 @@ class MixedProfile:
 class Game:
     """An n-player game given by strategy counts and an exact payoff tensor.
 
-    `table` maps every pure profile (a tuple of 0-based indices) to the
-    n-vector of payoffs, each an `int`, a `Fraction` or a string that
-    `rational` reads; a payoff it refuses raises its error, prefixed with
-    the profile and player of the first one in profile order.  Degenerate
-    games (a single player, or a player with a single strategy) are legal.
+    `table` maps every pure profile (a tuple of 0-based indices) to a list or
+    tuple of n payoffs, each an `int`, a `Fraction` or a string that `rational`
+    reads.  Game names the first missing profile or bad vector, then the first
+    payoff `rational` refuses (prefixed with its profile and player), in profile
+    order.  Degenerate games (one player, or a one-strategy player) are legal.
     """
 
     def __init__(self, strategy_counts: Sequence[int], table, strategy_names=None):
@@ -257,7 +259,15 @@ class Game:
             names = tuple(tuple(ns) for ns in strategy_names)
             if len(names) != n or any(len(ns) != m for ns, m in zip(names, counts)):
                 raise ValueError("strategy_names shape does not match strategy_counts")
-        vectors = table if type(table) is _ProfileOrdered else _vectors_by_profile(table, counts)
+            for name in itertools.chain.from_iterable(names):
+                if not isinstance(name, str):
+                    raise TypeError(f"strategy name {_clip(name)} is not a string")
+        # The reader's list is checked in whole-list passes (types first: len of an int
+        # raises); any other table, or a list that fails them, is walked by profile.
+        vectors = table
+        if type(table) is not _ProfileOrdered or len(table) != math.prod(counts) or not (
+                set(map(type, table)) <= {list, tuple} and set(map(len, table)) == {n}):
+            vectors = _vectors_by_profile(table, counts)
         if strategy_names is None:   # only for a sound table, whose size bounds theirs
             names = tuple(tuple(f"s{i}_{j}" for j in range(m))
                           for i, m in enumerate(counts))

@@ -10,13 +10,13 @@ Document layout::
 Payoff entries are integers or strings "num/den"; floating-point numbers
 are rejected so the format stays exact.  Each payoff record names its
 profile explicitly, so record order does not matter.  `parse_game` checks
-the structure, each 'u' a list of one entry per player included, and hands
-the payoff lists, in profile order, to `Game`, which takes them as they are
-and reads each distinct entry once with `game.rational`: a bad payoff is
-reported only in a sound structure, and of several, the first in profile
-order.  Whole-list passes recognise a sound document in profile order, as
-`serialize_game` writes it; any other is read one record at a time, in
-document order, which matches records to profiles or names the first defect.
+only the document: its header, then records that are objects naming each
+profile once by in-range integer indices, naming the first defect in
+document order.  Records in profile order, as `serialize_game` writes them,
+are recognised by whole-list passes; any others are read one at a time.
+The 'u' lists go to `Game` unchecked: it owns every payoff-table check,
+names the first missing profile, bad vector or bad payoff in profile
+order, and reads each distinct entry once with `game.rational`.
 """
 
 from __future__ import annotations
@@ -55,17 +55,15 @@ def parse_game(text: str) -> Game:
         raise GameFormatError("'players' must be a positive integer")
     names = doc["strategies"]
     if (not isinstance(names, list) or len(names) != n
-            or any(not isinstance(ns, list) or not ns
-                   or any(not isinstance(s, str) for s in ns) for ns in names)):
+            or any(not isinstance(ns, list) or not ns for ns in names)):
         raise GameFormatError("'strategies' must be one nonempty list of names per player")
     counts = tuple(len(ns) for ns in names)
 
     records = doc["payoffs"]
     if type(records) is not list:
         raise GameFormatError("'payoffs' must be a list of records")
-    table = _table_in_passes(records, counts)
-    if table is None:   # some check failed: name the first defect
-        table = _table_by_record(records, counts)
+    # Records in profile order pass as one list; any others are walked one at a time.
+    table = _table_in_passes(records, counts) or _table_by_record(records, counts)
     try:
         return Game(counts, table, names)
     except (ValueError, TypeError) as exc:
@@ -80,12 +78,12 @@ def _profile_lists(counts: tuple[int, ...]) -> list[list[int]]:
 
 
 def _table_in_passes(records: list, counts: tuple[int, ...]):
-    # The payoff lists of a sound document in profile order, checked in
-    # whole-list passes, or None if any check fails or the records come in
-    # another order.  Profiles equal to the shape's, in order, come once each:
-    # none twice, missing, out of range or of the wrong length.  The count is
-    # compared first, so no pass runs longer than the document; the indices
-    # must be ints, as list equality reads true as 1.
+    # The 'u' lists of records in profile order, checked in whole-list passes,
+    # or None if any check fails or the records come in another order.
+    # Profiles equal to the shape's, in order, come once each: none twice,
+    # missing, out of range or of the wrong length.  The count is compared
+    # first, so no pass runs longer than the document; the indices must be
+    # ints, as list equality reads true as 1.
     if len(records) != math.prod(counts):
         return None
     try:   # a record that is not an object has no members to get
@@ -94,15 +92,14 @@ def _table_in_passes(records: list, counts: tuple[int, ...]):
     except (KeyError, TypeError):
         return None
     if (raws != _profile_lists(counts)
-            or set(map(type, itertools.chain.from_iterable(raws))) != {int}
-            or set(map(type, us)) != {list} or set(map(len, us)) != {len(counts)}):
+            or set(map(type, itertools.chain.from_iterable(raws))) != {int}):
         return None
     return _ProfileOrdered(us)
 
 
-def _table_by_record(records: list, counts: tuple[int, ...]) -> _ProfileOrdered:
-    # The payoff lists in profile order, read one record at a time, in
-    # document order, raising a GameFormatError at the first defect.
+def _table_by_record(records: list, counts: tuple[int, ...]) -> dict:
+    # The 'u' lists by profile, read one record at a time, in document order,
+    # raising a GameFormatError at the first defect of a record.
     n = len(counts)
     int_profile = (int,) * n
     ranges = [range(m) for m in counts]
@@ -120,17 +117,8 @@ def _table_by_record(records: list, counts: tuple[int, ...]) -> _ProfileOrdered:
                                   f"of player {j + 1} out of range [0, {counts[j]})")
         if profile in table:
             raise GameFormatError(f"duplicate payoff record for profile {raw}")
-        u = rec["u"]
-        if type(u) is not list or len(u) != n:
-            raise GameFormatError(f"profile {raw}: 'u' must have {n} entries")
-        table[profile] = u
-
-    expected = math.prod(counts)
-    if len(table) != expected:
-        missing = itertools.islice((p for p in profiles(counts) if p not in table), 5)
-        raise GameFormatError(f"expected {expected} payoff records, got {len(table)}; "
-                              f"missing profiles: {[list(p) for p in missing]}")
-    return _ProfileOrdered(map(table.__getitem__, profiles(counts)))
+        table[profile] = rec["u"]
+    return table
 
 
 def load_game(path) -> Game:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import equilibria
-from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError
+from .game import Game, MixedProfile, MixedStrategy, UnsupportedGameError, _clip
 
 # One nonempty ascending tuple of strategy indices per player.
 Box = tuple[tuple[int, ...], ...]
@@ -146,12 +146,13 @@ def grid_search_min_deficiency(game: Game, resolution: int,
     """Evaluate the Berge deficiency on the full simplex grid of step
     1/resolution per player, exactly; return the `top` best profiles in
     ascending deficiency (lexicographic tiebreak).  Any deficiency-0 result
-    is a certified Berge equilibrium.  A grid of more than 10^7 points is
-    refused with a ValueError before any point is listed."""
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
-    if top < 1:
-        raise ValueError("top must be a positive integer")
+    is a certified Berge equilibrium.  A non-int `resolution` or `top` is a
+    TypeError; a grid of more than 10^7 points, a ValueError before any is listed."""
+    for value, label in ((resolution, "resolution"), (top, "top")):
+        if type(value) is not int:
+            raise TypeError(f"{label} {_clip(value)} is not an integer")
+        if value < 1:
+            raise ValueError(f"{label} must be a positive integer")
     counts, n, k = game.strategy_counts, game.player_count, resolution
     # Player j's grid has comb(k + m_j - 1, m_j - 1) points: counted before any is listed.
     if math.prod(math.comb(k + m - 1, m - 1) for m in counts) > 10**7:

@@ -155,8 +155,9 @@ def random_structure_game(rng: random.Random) -> Game:
 
 # ---------------------------------------------------------------------------
 # Reference reader: a game document read one record, then one profile, at a
-# time, in the order that decides which defect is named first.  Documents
-# given to it have a sound header.
+# time, in the order that decides which defect is named first: the reader
+# names a record's defects, then Game a name's, a vector's or a payoff's.
+# Documents given to it have a sound header.
 
 def reference_vectors(table, counts):
     """The payoff vectors of a table in profile order, one profile at a time;
@@ -202,15 +203,10 @@ def reference_parse(text: str) -> Game:
                                   f"of player {j + 1} out of range [0, {counts[j]})")
         if profile in table:
             raise GameFormatError(f"duplicate payoff record for profile {raw}")
-        u = rec["u"]
-        if type(u) is not list or len(u) != n:
-            raise GameFormatError(f"profile {raw}: 'u' must have {n} entries")
-        table[profile] = u
-    expected = math.prod(counts)
-    if len(table) != expected:
-        missing = itertools.islice((p for p in profiles(counts) if p not in table), 5)
-        raise GameFormatError(f"expected {expected} payoff records, got {len(table)}; "
-                              f"missing profiles: {[list(p) for p in missing]}")
+        table[profile] = rec["u"]
+    for name in itertools.chain.from_iterable(names):
+        if not isinstance(name, str):
+            raise GameFormatError(f"strategy name {_clip(name)} is not a string")
     try:
         vectors = reference_vectors(table, counts)
     except (ValueError, TypeError) as exc:

@@ -353,6 +353,9 @@ class TestErrors:
     @pytest.mark.parametrize("spec, message", [
         ('[["1/2","1/3"],["1/2","1/2"],["1/2","1/2"]]',
          "player 1: bad probability vector (probabilities must sum to exactly 1, got 5/6)"),
+        ('[[1,0],[1,0],[1e400,0]]',
+         "player 3: bad probability vector (probabilities must sum to exactly 1, got 1"
+         + "0" * 79 + "...)"),
         ('[5,["1/2","1/2"],["1/2","1/2"]]',
          "player 1: bad probability vector (probabilities must be a list or tuple)"),
         ("[[" + "9" * 5000 + ",0],[1,0],[1,0]]",
@@ -360,7 +363,8 @@ class TestErrors:
         ('[[1e2000000,0],[1,0],[1,0]]',
          "profile spec: number too large: malformed rational '1e2000000' "
          f"('1e2000000' needs more than {digit_limit()} decimal digits)"),
-    ], ids=["not-normalized", "not-a-list", "oversized-integer", "oversized-decimal"])
+    ], ids=["not-normalized", "sum-of-401-digits", "not-a-list", "oversized-integer",
+            "oversized-decimal"])
     def test_bad_profile_vector(self, capsys, eq5_file, spec, message):
         code, out, err = run(capsys, "check", eq5_file, "--profile", spec, "--kind", "berge")
         assert (code, out, err) == (1, "", f"error: {message}\n")

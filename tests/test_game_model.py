@@ -221,6 +221,12 @@ class TestRefusals:
          "payoff table has entries for invalid profiles: [<tuple too long to print>]"),
         (lambda g: Game((1,), {(0,): [[10**5000]]}), TypeError,
          "profile [0], player 1: cannot read a rational from <list too long to print>"),
+        (lambda g: Game((2,), {(0,): [1], (1,): [2]}, [["a", 3]]), TypeError,
+         "strategy name 3 is not a string"),
+        (lambda g: Game((1,), {(0,): [1]}, [[[10**5000]]]), TypeError,
+         "strategy name <list too long to print> is not a string"),
+        (lambda g: MixedStrategy((Fraction(1, 3**8000), Fraction(1, 7**5000))), ValueError,
+         "probabilities must sum to exactly 1, got <Fraction too long to print>"),
     ], ids=["name-of-negative-index", "bool-index", "float-index", "uniform-of-none",
             "empty-strategy", "replace-player-out-of-range", "replace-bool-player",
             "payoff-bool-player", "payoff-str-player", "payoff-player-out-of-range",
@@ -230,7 +236,8 @@ class TestRefusals:
             "names-of-wrong-shape", "unsortable-extra-keys", "many-extra-keys",
             "berge-check-of-wrong-length", "rational-of-list-of-huge-int",
             "player-list-of-huge-int", "counts-of-huge-int", "extra-key-of-huge-int",
-            "payoff-list-of-huge-int"])
+            "payoff-list-of-huge-int", "name-not-a-string", "name-list-of-huge-int",
+            "sum-of-huge-denominators"])
     def test_exact_message(self, eq5, call, error, message):
         with pytest.raises(error) as exc:
             call(eq5)

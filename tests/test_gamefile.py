@@ -2,7 +2,6 @@ import collections
 import itertools
 import json
 import random
-import re
 import sys
 import time
 from fractions import Fraction
@@ -16,7 +15,7 @@ from bergegames import game as game_module
 from bergegames import gamefile
 from bergegames.game import digit_limit, profiles
 
-from conftest import random_game, reference_parse, reference_vectors
+from conftest import random_game, random_rational_table, reference_parse, reference_vectors
 
 
 def _eq5_doc():
@@ -55,19 +54,37 @@ class TestParse:
     def test_missing_profile(self):
         doc = _eq5_doc()
         doc["payoffs"] = [r for r in doc["payoffs"] if r["profile"] != [1, 1, 1]]
-        with pytest.raises(GameFormatError, match=r"missing profiles.*\[1, 1, 1\]"):
+        with pytest.raises(GameFormatError) as exc:
             parse_game(json.dumps(doc))
+        assert str(exc.value) == "missing payoff for profile (1, 1, 1)"
 
     def test_missing_profiles_found_lazily(self):
         n = 22
         doc = {"players": n, "strategies": [["a", "b"]] * n,
                "payoffs": [{"profile": [0] * n, "u": [0] * n}]}
-        first_missing = str([0] * (n - 1) + [1])
+        first_missing = str(tuple([0] * (n - 1) + [1]))
         start = time.perf_counter()
-        with pytest.raises(GameFormatError,
-                           match=r"missing profiles: \[" + re.escape(first_missing)):
+        with pytest.raises(GameFormatError) as exc:
             parse_game(json.dumps(doc))
         assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"missing payoff for profile {first_missing}"
+
+    def test_strategy_names_checked_by_game(self):
+        # A name that is not a string is Game's to refuse: after any defect of a
+        # record, before a missing profile.
+        doc = _eq5_doc()
+        doc["strategies"][1][1] = 3
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(json.dumps(doc))
+        assert str(exc.value) == "strategy name 3 is not a string"
+        doc["payoffs"].pop()
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(json.dumps(doc))
+        assert str(exc.value) == "strategy name 3 is not a string"
+        doc["payoffs"][2]["profile"] = [0, 0, 2]
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(json.dumps(doc))
+        assert str(exc.value) == "profile [0, 0, 2]: index 2 of player 3 out of range [0, 2)"
 
     def test_duplicate_profile(self):
         doc = _eq5_doc()
@@ -401,16 +418,16 @@ class TestReaderMatchesReference:
                 errors.append(got[1])
         assert mutated >= 1000 * 0.7
         for message in ("needs 'profile' and 'u'", "integer indices", "out of range",
-                        "duplicate payoff record", "'u' must have", "missing profiles",
-                        "boolean", "floating-point", "malformed rational", "cannot read"):
+                        "duplicate payoff record", "missing payoff for profile",
+                        "must be a list or tuple", "has length", "boolean", "floating-point",
+                        "malformed rational", "cannot read"):
             assert any(message in e for e in errors), message
 
-    def test_passes_refuse_what_the_record_loop_refuses(self):
-        # Game takes the reader's payoff lists without checking them again (a
-        # 'u' list one entry short would misalign its tensors), so the passes
-        # must refuse every document the record loop refuses.  They return
-        # lists exactly for the documents it accepts whose records come in
-        # profile order, and the same lists; the loop reads all others.
+    def test_passes_return_lists_exactly_for_in_order_documents(self):
+        # The passes check the document alone: they hand over a list exactly when
+        # the record walk finds no defect of a record and reads every profile of
+        # the shape in profile order, and the list holds the walk's 'u' lists in
+        # that order, sound or not, for Game to check.
         docs = itertools.chain(_mutated_docs(), _misordered_docs("shuffled"),
                                _misordered_docs("reversed"))
         outcomes = collections.Counter()
@@ -421,13 +438,35 @@ class TestReaderMatchesReference:
                 by_record = gamefile._table_by_record(records, counts)
             except GameFormatError:
                 by_record = None
-            in_order = by_record is not None and (
-                [r["profile"] for r in records] == list(map(list, profiles(counts))))
+            in_order = by_record is not None and list(by_record) == list(profiles(counts))
             assert (passes is not None) == in_order, records
-            assert passes is None or passes == by_record
-            outcomes[passes is not None, by_record is not None] += 1
-        assert outcomes[False, False] >= 1500 and not outcomes[True, False]
-        assert outcomes[False, True] >= 250 and outcomes[True, True] >= 250
+            if in_order:
+                assert type(passes) is game_module._ProfileOrdered
+                assert passes == list(by_record.values())
+            built = by_record is not None and isinstance(
+                _outcome(Game, counts, passes if in_order else by_record), Game)
+            outcomes[in_order, by_record is not None, built] += 1
+        assert outcomes[False, False, False] >= 1200
+        assert outcomes[False, True, True] >= 200 and outcomes[True, True, True] >= 200
+        # Documents without a defect of a record whose table Game refuses, in order or not.
+        assert outcomes[True, True, False] >= 50 and outcomes[False, True, False] >= 150
+
+    @pytest.mark.parametrize("vectors, error, message", [
+        ([[1, 2], [3, 4], [5, 6]], ValueError, "missing payoff for profile (1, 1)"),
+        ([[1, 2], 5, [5, 6], [7, 8]], TypeError,
+         "payoff vector at (0, 1) must be a list or tuple"),
+        ([[1, 2], [3], [4, 5], [6, 7]], ValueError,
+         "payoff vector at (0, 1) has length 1, expected 2"),
+        ([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]], ValueError,
+         "payoff table has entries for invalid profiles: [(2, 0)]"),
+    ], ids=["short", "not-a-list", "wrong-length", "long"])
+    def test_game_checks_the_readers_list(self, vectors, error, message):
+        # Game checks the reader's list itself, naming the profile of a defect.
+        with pytest.raises(error) as exc:
+            Game((2, 2), game_module._ProfileOrdered(vectors))
+        assert type(exc.value) is error and str(exc.value) == message
+        sound = game_module._ProfileOrdered([[1, 2], (3, 4), [5, 6], [7, 8]])
+        assert Game((2, 2), sound) == Game((2, 2), dict(zip(profiles((2, 2)), sound)))
 
     def test_game_tables(self):
         # Game walks any table but the reader's one profile at a time; a
@@ -494,19 +533,21 @@ class TestReaderMatchesReference:
             random.Random(1720).shuffle(doc["payoffs"])
         else:
             doc["payoffs"].reverse()
-        walked = []
+        # The record walk reads it once, and Game walks its table once, like any table.
+        walked, located = [], []
 
         def walk(*args):
             walked.append(args)
             return by_record(*args)
 
-        def located(*_):
-            raise AssertionError("a sound document entered Game's defect locator")
-        by_record = gamefile._table_by_record
+        def locate(*args):
+            located.append(args)
+            return by_profile(*args)
+        by_record, by_profile = gamefile._table_by_record, game_module._vectors_by_profile
         monkeypatch.setattr(gamefile, "_table_by_record", walk)
-        monkeypatch.setattr(game_module, "_vectors_by_profile", located)
+        monkeypatch.setattr(game_module, "_vectors_by_profile", locate)
         assert parse_game(json.dumps(doc)) == expected
-        assert len(walked) == 1
+        assert len(walked) == len(located) == 1
 
 
 class TestRoundTrip:
@@ -515,6 +556,18 @@ class TestRoundTrip:
         for _ in range(20):
             g = random_game(rng)
             assert parse_game(serialize_game(g)) == g
+
+    def test_given_names_survive(self):
+        # Seeded library games with given names, any strings, read back equal and
+        # with the same names.
+        rng = random.Random(2424)
+        pool = ["a", "", " ", "B 2", "\u00df", "\u540d", '"q"', "\\", "\n", "1/2", "0", "null"]
+        for _ in range(100):
+            counts, table = random_rational_table(rng, rng.randint(1, 3))
+            names = [[rng.choice(pool) for _ in range(m)] for m in counts]
+            g = Game(counts, table, names)
+            h = parse_game(serialize_game(g))
+            assert h == g and h.strategy_names == g.strategy_names
 
     def test_fractional_payoffs_survive(self):
         doc = {"players": 2, "strategies": [["x", "y"], ["u", "v"]],

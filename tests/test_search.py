@@ -300,6 +300,19 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_min_deficiency(eq5, 0)
 
+    @pytest.mark.parametrize("resolution, top, message", [
+        (True, True, "resolution True is not an integer"),
+        (2.0, 3, "resolution 2.0 is not an integer"),
+        ("2", 3, "resolution '2' is not an integer"),
+        (2, True, "top True is not an integer"),
+        (2, 3.0, "top 3.0 is not an integer"),
+        (2, None, "top None is not an integer"),
+    ])
+    def test_non_integers_refused(self, eq5, resolution, top, message):
+        with pytest.raises(TypeError) as exc:
+            grid_search_min_deficiency(eq5, resolution, top)
+        assert str(exc.value) == message
+
     def test_top_must_be_positive(self, eq5):
         with pytest.raises(ValueError) as exc:
             grid_search_min_deficiency(eq5, 2, top=0)
