@@ -8,9 +8,8 @@ from .equilibria import (BestSupportResult, EquilibriumVerdict,
                          enumerate_pure_berge, enumerate_pure_nash, is_berge,
                          is_nash, is_pareto_optimal_pure,
                          own_payoff_independent, swap_payoffs_2p)
-from .search import (Box, CoordinateConflict, ExistenceCertificate,
-                     decide_berge_existence_oi222, grid_search_min_deficiency,
-                     simplex_grid)
+from .search import (Box, ExistenceCertificate, decide_berge_existence_oi222,
+                     grid_search_min_deficiency, simplex_grid)
 from .gamefile import (GameFormatError, BUILTIN_NAMES, builtin_game, load_game,
                        parse_game, serialize_game)
 
@@ -21,7 +20,7 @@ __all__ = [
     "best_support", "constant_sum", "enumerate_pure_berge",
     "enumerate_pure_nash", "is_berge", "is_nash", "is_pareto_optimal_pure",
     "own_payoff_independent", "swap_payoffs_2p",
-    "Box", "CoordinateConflict", "ExistenceCertificate",
+    "Box", "ExistenceCertificate",
     "decide_berge_existence_oi222", "grid_search_min_deficiency",
     "simplex_grid",
     "GameFormatError", "BUILTIN_NAMES", "builtin_game", "load_game",

@@ -10,6 +10,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -127,12 +128,16 @@ def _cmd_decide_berge(args) -> int:
     if cert.exists:
         print(f"witness: {_mixed_profile_str(cert.witness)}")
         return 0
-    if cert.conflict is not None:
-        c = cert.conflict
-        j, (k, l), (a, b) = c.coordinate, c.players, c.strategies
-        name = COORD_NAMES[j] if game.player_count <= len(COORD_NAMES) else f"x{j + 1}"
-        print(f"conflict: coordinate {name} is fixed to {_coordinate(game, j, a)} by "
-              f"player {k + 1} and to {_coordinate(game, j, b)} by player {l + 1}")
+    # The conflict line sums up the graphs above: the first player j and pair of
+    # graphs (k, l) whose unions of sets for j are disjoint, k's starting later.
+    for j in range(game.player_count):
+        unions = [sorted({i for box in graph for i in box[j]}) for graph in cert.per_player_graphs]
+        for (k, a), (l, b) in itertools.product(enumerate(unions), repeat=2):
+            if a[0] > b[0] and set(a).isdisjoint(b):
+                name = COORD_NAMES[j] if game.player_count <= len(COORD_NAMES) else f"x{j + 1}"
+                print(f"conflict: coordinate {name} is fixed to {_coordinate(game, j, a)} by "
+                      f"player {k + 1} and to {_coordinate(game, j, b)} by player {l + 1}")
+                return 3
     return 3
 
 

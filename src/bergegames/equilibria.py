@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .game import (Game, MixedProfile, MixedStrategy, PureProfile, UnsupportedGameError,
-                   _mix, _numerators, _reduce, profiles)
+                   _clip, _mix, _numerators, _reduce, profiles)
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ def is_nash(game: Game, profile: MixedProfile) -> EquilibriumVerdict:
 def best_support(game: Game, player: int, strategy: MixedStrategy) -> BestSupportResult:
     """Max of the player's expected payoff over all pure complements, with
     every maximizer.  By multilinearity this bounds all mixed complements."""
+    if not isinstance(strategy, MixedStrategy):
+        raise TypeError(f"{_clip(strategy)} is not a MixedStrategy")
     rows, den = game.own_by_complement(player)
     if len(strategy) != len(rows):
         raise ValueError("strategy does not match the player's strategy count")

@@ -24,6 +24,7 @@ import itertools
 import math
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -221,6 +222,9 @@ class MixedProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        for s in self.strategies:
+            if not isinstance(s, MixedStrategy):
+                raise TypeError(f"{_clip(s)} is not a MixedStrategy")
 
     def __len__(self):
         return len(self.strategies)
@@ -239,11 +243,11 @@ class MixedProfile:
 class Game:
     """An n-player game given by strategy counts and an exact payoff tensor.
 
-    `table` maps every pure profile (a tuple of 0-based indices) to a list or
-    tuple of n payoffs, each an `int`, a `Fraction` or a string that `rational`
-    reads.  Game names the first missing profile or bad vector, then the first
-    payoff `rational` refuses (prefixed with its profile and player), in profile
-    order.  Degenerate games (one player, or a one-strategy player) are legal.
+    `table`, a `Mapping`, maps every pure profile (a tuple of 0-based indices)
+    to a list or tuple of n payoffs, each an `int`, a `Fraction` or a string
+    that `rational` reads.  Game names the first missing profile or bad vector,
+    then the first payoff `rational` refuses (prefixed with its profile and
+    player), in profile order.  One player, or one-strategy players, are legal.
     """
 
     def __init__(self, strategy_counts: Sequence[int], table, strategy_names=None):
@@ -252,10 +256,16 @@ class Game:
             raise TypeError(f"strategy counts must be integers, got {_clip(counts)}")
         if not counts or any(m < 1 for m in counts):
             raise ValueError("every player needs at least one strategy")
+        if not isinstance(table, (_ProfileOrdered, Mapping)):
+            raise TypeError(f"payoff table must be a mapping, not {type(table).__name__}")
         self._counts = counts
         n = len(counts)
 
         if strategy_names is not None:
+            # The argument first, so a non-sequence is refused before it is iterated.
+            for ns in itertools.chain([strategy_names], strategy_names):
+                if not isinstance(ns, (list, tuple)):
+                    raise TypeError(f"strategy names {_clip(ns)} are not a list or tuple")
             names = tuple(tuple(ns) for ns in strategy_names)
             if len(names) != n or any(len(ns) != m for ns, m in zip(names, counts)):
                 raise ValueError("strategy_names shape does not match strategy_counts")
@@ -326,6 +336,8 @@ class Game:
         return profile
 
     def validate_profile(self, profile: MixedProfile) -> MixedProfile:
+        if not isinstance(profile, MixedProfile):
+            raise TypeError(f"{_clip(profile)} is not a MixedProfile")
         if len(profile) != self.player_count:
             raise ValueError("profile has wrong number of players")
         for j, (s, m) in enumerate(zip(profile.strategies, self._counts)):

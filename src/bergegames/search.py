@@ -9,8 +9,7 @@ is the union of the boxes all of whose pure profiles pay i their best, and
 the meet of the graphs, the Berge set, that of the boxes all of whose pure
 profiles are pure Berge: mixed Berge exists iff pure Berge does.  Graphs and
 meet are tuples of their maximal boxes in a fixed order.  A nonempty meet
-yields a witness that is re-verified, and an empty one a conflict
-certificate where two graphs give a player disjoint sets of strategies.
+yields a re-verified witness, and an empty one a dominance fact per box.
 """
 
 from __future__ import annotations
@@ -77,22 +76,18 @@ def _best_profiles(game: Game) -> list[set]:
 
 
 @dataclass(frozen=True)
-class CoordinateConflict:
-    """Two graphs, of `players`, that give the player at `coordinate` the
-    disjoint `strategies` (in the same order), each the union of that
-    player's sets over the graph's boxes: the graphs cannot intersect."""
-
-    coordinate: int
-    players: tuple[int, int]
-    strategies: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class ExistenceCertificate:
+    """Exists: a `witness` re-verified by `is_berge`, and `cover` is ().
+    Not-exists: per box, in ascending key order, a fact (box, player, c, c2):
+    `c`, a complement (co-players' strategies) from the box, pays the player
+    less than their best complement `c2` under each own strategy in the box.
+    At a mixed profile supported on the box `c` has positive probability, so
+    moving it to `c2` pays the player more: in any game, no point there is Berge."""
+
     exists: bool
     witness: Optional[MixedProfile]
     per_player_graphs: tuple[tuple[Box, ...], ...]
-    conflict: Optional[CoordinateConflict]
+    cover: tuple[tuple[Box, int, tuple[int, ...], tuple[int, ...]], ...]
 
 
 def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
@@ -110,16 +105,16 @@ def decide_berge_existence_oi222(game: Game) -> ExistenceCertificate:
             for s, m in zip(meet[0], counts)))
         if not equilibria.is_berge(game, witness).is_equilibrium:
             raise RuntimeError("witness failed exact re-verification")
-        return ExistenceCertificate(True, witness, graphs, None)
-    for j in range(game.player_count):
-        # Per graph, the union of its boxes' sets for player j.  The first
-        # disjoint pair (k, l), k's set starting later, is the conflict.
-        unions = [tuple(sorted({i for box in graph for i in box[j]})) for graph in graphs]
-        for (k, a), (l, b) in itertools.product(enumerate(unions), repeat=2):
-            if a[0] > b[0] and set(a).isdisjoint(b):
-                return ExistenceCertificate(
-                    False, None, graphs, CoordinateConflict(j, (k, l), (a, b)))
-    return ExistenceCertificate(False, None, graphs, None)
+        return ExistenceCertificate(True, witness, graphs, ())
+    # The meet is empty: each box has a pure profile off some player's best set, whose
+    # complement pays that player less than the complement of their first best profile.
+    pure = list(game.pure_profiles())
+    cover = []
+    for box, vertices in reversed(_boxes(counts)):
+        player, b = next((i, b) for i, b in enumerate(best) if not vertices <= b)
+        c, c2 = pure[min(vertices - b)], pure[min(b)]
+        cover.append((box, player, c[:player] + c[player + 1:], c2[:player] + c2[player + 1:]))
+    return ExistenceCertificate(False, None, graphs, tuple(cover))
 
 
 def _grid_numerators(size: int, resolution: int) -> Iterator[tuple[int, ...]]:

@@ -8,7 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from bergegames import (CoordinateConflict, MixedProfile, MixedStrategy,
+from bergegames import (MixedProfile, MixedStrategy,
                         best_support, builtin_game, constant_sum,
                         decide_berge_existence_oi222,
                         enumerate_pure_berge, enumerate_pure_nash,
@@ -44,18 +44,25 @@ def test_criterion_2_no_mixed_berge(tmp_path, capsys, eq5):
     code = cli_main(["decide-berge", _write_builtin(tmp_path, "eq5")])
     out = capsys.readouterr().out
     cert = decide_berge_existence_oi222(eq5)
-    graphs, c = cert.per_player_graphs, cert.conflict
+    graphs = cert.per_player_graphs
     graphs_ok = graphs == ((((0, 1), (0,), (0,)),), (((0,), (0, 1), (1,)),),
                            (((1,), (1,), (0, 1)),))
     # Player 3's graph restricts p to strategy 2 (p = 0), player 2's to
-    # strategy 1 (p = 1): each set is the union of that graph's sets for p.
-    conflict_ok = c == CoordinateConflict(0, (2, 1), ((1,), (0,))) and all(
-        {i for box in graphs[k] for i in box[0]} == set(s)
-        for k, s in zip(c.players, c.strategies))
+    # strategy 1 (p = 1): the printed graphs cannot meet.
+    conflict_ok = out.endswith(
+        "conflict: coordinate p is fixed to 0 by player 3 and to 1 by player 2\n")
+    # Each of the 27 support boxes is refuted by a fact: a complement c from
+    # the box pays the player less than c2 under each of their strategies in it.
+    boxes = list(itertools.product(*[[(0,), (1,), (0, 1)]] * 3))
+    cover_ok = sorted(fact[0] for fact in cert.cover) == sorted(boxes) and all(
+        all(x in s for x, s in zip(c, box[:i] + box[i + 1:]))
+        and all(eq5.payoff(c[:i] + (a,) + c[i:], i) < eq5.payoff(c2[:i] + (a,) + c2[i:], i)
+                for a in box[i])
+        for box, i, c, c2 in cert.cover)
     ok = (code == 3 and "outcome: not-exists" in out
-          and not cert.exists and graphs_ok and conflict_ok)
+          and not cert.exists and graphs_ok and conflict_ok and cover_ok)
     report(2, "decide-berge(eq5): not-exists, graphs are the three cube edges, "
-              "coordinate conflict certificate", ok)
+              "coordinate conflict line, a refuting fact for each of the 27 boxes", ok)
 
 
 def test_criterion_3_unique_best_supports(eq5):

@@ -277,7 +277,8 @@ class TestBuiltinCommand:
         out_path = str(tmp_path / "pd.json")
         code, _, _ = run(capsys, "builtin", "pd", "--out", out_path)
         assert code == 0
-        assert json.loads(open(out_path).read())["players"] == 2
+        with open(out_path, encoding="utf-8") as fh:
+            assert json.load(fh)["players"] == 2
 
     def test_unknown_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "builtin", "nope", "--out", str(tmp_path / "x"))

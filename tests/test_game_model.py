@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import Game, MixedProfile, MixedStrategy, is_berge, parse_game, serialize_game
+from bergegames import (Game, MixedProfile, MixedStrategy, best_support, is_berge, parse_game,
+                        serialize_game)
 from bergegames.game import digit_limit, rational
 
 from conftest import (oracle_expected_payoff, random_profile, random_rational_table,
@@ -227,6 +228,21 @@ class TestRefusals:
          "strategy name <list too long to print> is not a string"),
         (lambda g: MixedStrategy((Fraction(1, 3**8000), Fraction(1, 7**5000))), ValueError,
          "probabilities must sum to exactly 1, got <Fraction too long to print>"),
+        (lambda g: Game((3,), {(0,): [1], (1,): [2], (2,): [3]}, ["abc"]), TypeError,
+         "strategy names 'abc' are not a list or tuple"),
+        (lambda g: Game((3,), {(0,): [1], (1,): [2], (2,): [3]}, [5]), TypeError,
+         "strategy names 5 are not a list or tuple"),
+        (lambda g: Game((1,), {(0,): [1]}, "a"), TypeError,
+         "strategy names 'a' are not a list or tuple"),
+        (lambda g: Game((1,), {(0,): [1]}, [10**5000]), TypeError,
+         "strategy names <int too long to print> are not a list or tuple"),
+        (lambda g: Game((2,), [[1], [2]]), TypeError, "payoff table must be a mapping, not list"),
+        (lambda g: Game((2,), 5), TypeError, "payoff table must be a mapping, not int"),
+        (lambda g: is_berge(g, MixedProfile(((1, 0), (0, 1), (1, 0)))), TypeError,
+         "(1, 0) is not a MixedStrategy"),
+        (lambda g: g.expected_payoff(((1, 0),) * 3, 0), TypeError,
+         "((1, 0), (1, 0), (1, 0)) is not a MixedProfile"),
+        (lambda g: best_support(g, 0, (1, 0)), TypeError, "(1, 0) is not a MixedStrategy"),
     ], ids=["name-of-negative-index", "bool-index", "float-index", "uniform-of-none",
             "empty-strategy", "replace-player-out-of-range", "replace-bool-player",
             "payoff-bool-player", "payoff-str-player", "payoff-player-out-of-range",
@@ -237,7 +253,10 @@ class TestRefusals:
             "berge-check-of-wrong-length", "rational-of-list-of-huge-int",
             "player-list-of-huge-int", "counts-of-huge-int", "extra-key-of-huge-int",
             "payoff-list-of-huge-int", "name-not-a-string", "name-list-of-huge-int",
-            "sum-of-huge-denominators"])
+            "sum-of-huge-denominators", "names-entry-a-string", "names-entry-an-int",
+            "names-a-string", "names-entry-huge-int", "table-a-list", "table-an-int",
+            "profile-entry-not-a-strategy", "profile-not-a-profile",
+            "best-support-of-a-tuple"])
     def test_exact_message(self, eq5, call, error, message):
         with pytest.raises(error) as exc:
             call(eq5)

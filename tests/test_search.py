@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from bergegames import (CoordinateConflict, Game, MixedProfile, MixedStrategy,
-                        UnsupportedGameError, best_support, decide_berge_existence_oi222,
-                        enumerate_pure_berge, equilibria, grid_search_min_deficiency,
-                        is_berge, simplex_grid)
+from bergegames import (Game, MixedProfile, MixedStrategy, UnsupportedGameError, best_support,
+                        decide_berge_existence_oi222, enumerate_pure_berge, equilibria,
+                        grid_search_min_deficiency, is_berge, serialize_game, simplex_grid)
 from bergegames import search
+from bergegames.cli import main as cli_main
 from bergegames.search import MAX_BOXES, _boxes_within
 
 from conftest import oracle_pure_berge, random_game, random_rational_table
@@ -114,24 +114,23 @@ class TestDecideExistence:
         cert = decide_berge_existence_oi222(eq5)
         assert not cert.exists
         assert cert.witness is None
-        # p is fixed to 0 by player 3's graph and to 1 by player 2's: each
-        # named set is the union of that graph's sets for p, and they are
-        # disjoint.
-        c = cert.conflict
-        assert c == CoordinateConflict(0, (2, 1), ((1,), (0,)))
-        for k, s in zip(c.players, c.strategies):
-            assert {i for box in cert.per_player_graphs[k] for i in box[c.coordinate]} == set(s)
+        _check_cover(eq5, cert)
+        # The pure profile (1, 1, 1) is off player 1's best set: their
+        # complement (1, 1) pays less than (0, 0).
+        assert cert.cover[0] == (((1,), (1,), (1,)), 0, (1, 1), (0, 0))
 
     def test_sumgame_exists(self, sumgame222):
         cert = decide_berge_existence_oi222(sumgame222)
         assert cert.exists
         assert is_berge(sumgame222, cert.witness).deficiency == 0
         assert [s.probs for s in cert.witness.strategies] == [(1, 0)] * 3
+        assert cert.cover == ()
 
     def test_zero_game_exists(self, zero222):
         cert = decide_berge_existence_oi222(zero222)
         assert cert.exists
         assert is_berge(zero222, cert.witness).is_equilibrium
+        assert cert.cover == ()
 
 
 def _key(box, counts):
@@ -143,15 +142,35 @@ def _inside(inner, outer):
     return all(set(a) <= set(b) for a, b in zip(inner, outer))
 
 
+def _all_boxes(counts):
+    # Every box of this shape, by ascending key.
+    sets = [[s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
+            for m in counts]
+    return sorted(itertools.product(*sets), key=lambda b: _key(b, counts))
+
+
 def _maximal_boxes(counts, pure):
     # Every box whose pure profiles all lie in `pure`, keeping those inside
     # no other, by ascending key.
-    sets = [[s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
-            for m in counts]
-    boxes = [box for box in itertools.product(*sets)
-             if all(p in pure for p in itertools.product(*box))]
-    return sorted((b for b in boxes if not any(c != b and _inside(b, c) for c in boxes)),
-                  key=lambda b: _key(b, counts))
+    boxes = [box for box in _all_boxes(counts) if all(p in pure for p in itertools.product(*box))]
+    return [b for b in boxes if not any(c != b and _inside(b, c) for c in boxes)]
+
+
+def _check_cover(game, cert):
+    # An exists result has no cover; a not-exists one has a fact for each box,
+    # checked by payoff comparisons alone: the complement c lies in the box,
+    # c2 is best for the player, and c pays less than c2 under each own
+    # strategy in the box.
+    if cert.exists:
+        assert cert.cover == ()
+        return
+    assert [fact[0] for fact in cert.cover] == _all_boxes(game.strategy_counts)
+    best = [max(game.payoff(p, i) for p in game.pure_profiles()) for i in range(game.player_count)]
+    for box, i, c, c2 in cert.cover:
+        assert len(c) == len(box) - 1 and all(x in s for x, s in zip(c, box[:i] + box[i + 1:]))
+        for a in box[i]:
+            assert game.payoff(c[:i] + (a,) + c[i:], i) < game.payoff(c2[:i] + (a,) + c2[i:], i)
+            assert game.payoff(c2[:i] + (a,) + c2[i:], i) == best[i]
 
 
 def _positions(game, pure):
@@ -162,18 +181,44 @@ def _positions(game, pure):
 def _first_conflict(graphs):
     # The first player j, then the first pair of graphs (k, l), such that
     # the union of graph k's sets for j and that of graph l's are disjoint
-    # and k's starts later; None if there is none.
+    # and k's starts later, as (j, (k, l), (union k, union l)); None if there is none.
     for j in range(len(graphs[0][0])):
         unions = [tuple(sorted({i for box in graph for i in box[j]})) for graph in graphs]
         for k, l in itertools.product(range(len(graphs)), repeat=2):
             a, b = unions[k], unions[l]
             if min(a) > min(b) and not set(a) & set(b):
-                return CoordinateConflict(j, (k, l), (a, b))
+                return j, (k, l), (a, b)
     return None
 
 
+def _conflict_lines(game, conflict):
+    # The conflict line decide-berge prints for _first_conflict's result, as a list
+    # of zero or one lines.  Disjoint sets are proper, so none is shown as "*".
+    if conflict is None:
+        return []
+    j, players, sets = conflict
+    names = game.strategy_names[j]
+    shown = [str(1 - s[0]) if len(names) == 2 else "{" + ",".join(names[i] for i in s) + "}"
+             for s in sets]
+    coordinate = "pqr"[j] if game.player_count <= 3 else f"x{j + 1}"
+    return [f"conflict: coordinate {coordinate} is fixed to {shown[0]} by player "
+            f"{players[0] + 1} and to {shown[1]} by player {players[1] + 1}"]
+
+
+def _check_cli_conflict(game, cert, tmp_path, capsys):
+    # decide-berge on the game's document exits 3 and prints the conflict line
+    # of the graphs it prints, if they have one.
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(game))
+    assert cli_main(["decide-berge", str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "outcome: not-exists"
+    assert lines[1 + game.player_count:] == _conflict_lines(game, _first_conflict(
+        cert.per_player_graphs))
+
+
 class TestRandomOIGames:
-    def test_graphs_and_decision_match_direct_checks(self):
+    def test_graphs_and_decision_match_direct_checks(self, tmp_path, capsys):
         # Checked against best_support, expected_payoff and is_berge
         # at the 27 points of {0, 1/2, 1}^3, never against the box code.
         # Small payoffs make ties common.
@@ -199,15 +244,15 @@ class TestRandomOIGames:
             assert cert.exists == bool(pure_berge)
             assert cert.exists == any(is_berge(game, _profile_from_coords(point)).deficiency == 0
                                       for point in points)
+            _check_cover(game, cert)
             if cert.exists:
                 assert is_berge(game, cert.witness).deficiency == 0
-                assert cert.conflict is None
                 # Uniform on the meet's first box.
                 assert cert.witness == MixedProfile(tuple(
                     MixedStrategy(tuple(F(int(i in s), len(s)) for i in range(2)))
                     for s in meet[0]))
             else:
-                assert cert.conflict == _first_conflict(graphs)
+                _check_cli_conflict(game, cert, tmp_path, capsys)
 
 
 def _oi_random_game(rng, counts):
@@ -230,7 +275,7 @@ class TestOIShapes:
     @pytest.mark.parametrize("counts", [
         (2, 2), (3, 2), (4, 3), (2, 3, 2), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2),
         (1, 3, 2), (1, 1, 2, 2)], ids=lambda c: "x".join(map(str, c)))
-    def test_decision_matches_pure_berge_and_brute_force_boxes(self, counts):
+    def test_decision_matches_pure_berge_and_brute_force_boxes(self, counts, tmp_path, capsys):
         # The Berge set of an OI game is the union of the boxes whose pure
         # profiles are all pure Berge: checked at the uniform point of every
         # box, and against boxes listed here by brute force.
@@ -243,10 +288,11 @@ class TestOIShapes:
             cert = decide_berge_existence_oi222(game)
             assert cert.exists == bool(enumerate_pure_berge(game))
             assert cert.exists == bool(pure_berge)
+            _check_cover(game, cert)
             if cert.exists:
                 assert is_berge(game, cert.witness).deficiency == 0
             else:
-                assert cert.conflict == _first_conflict(cert.per_player_graphs)
+                _check_cli_conflict(game, cert, tmp_path, capsys)
             for box in itertools.product(*sets):
                 all_berge = all(p in pure_berge for p in itertools.product(*box))
                 assert (is_berge(game, _uniform_on(box, counts)).deficiency == 0) == all_berge
@@ -282,7 +328,7 @@ class TestBoxCap:
         # 2's strategies 3 and 7; player 2's payoff is constant.
         game = Game((1, 12), {(0, j): (int(j in (3, 7)), 0) for j in range(12)})
         cert = decide_berge_existence_oi222(game)
-        assert cert.exists
+        assert cert.exists and cert.cover == ()
         assert cert.per_player_graphs == ((((0,), (3, 7)),), (((0,), tuple(range(12))),))
         assert [s.probs for s in cert.witness.strategies] == [
             (1,), tuple(F(int(i in (3, 7)), 2) for i in range(12))]
