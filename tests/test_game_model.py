@@ -243,6 +243,18 @@ class TestRefusals:
         (lambda g: g.expected_payoff(((1, 0),) * 3, 0), TypeError,
          "((1, 0), (1, 0), (1, 0)) is not a MixedProfile"),
         (lambda g: best_support(g, 0, (1, 0)), TypeError, "(1, 0) is not a MixedStrategy"),
+        (lambda g: MixedStrategy.uniform(True), TypeError, "strategy count True is not an integer"),
+        (lambda g: MixedStrategy.uniform(2.0), TypeError, "strategy count 2.0 is not an integer"),
+        (lambda g: MixedStrategy.uniform([10**5000]), TypeError,
+         "strategy count <list too long to print> is not an integer"),
+        (lambda g: MixedProfile(5), TypeError, "strategies 5 are not a list or tuple"),
+        (lambda g: MixedProfile(10**5000), TypeError,
+         "strategies <int too long to print> are not a list or tuple"),
+        (lambda g: Game(5, {}), TypeError, "strategy counts 5 are not a list or tuple"),
+        (lambda g: Game("ab", {}), TypeError, "strategy counts 'ab' are not a list or tuple"),
+        (lambda g: g.uniform().replace(0, 5), TypeError, "5 is not a MixedStrategy"),
+        (lambda g: g.uniform().replace(0, (1, 0)), TypeError, "(1, 0) is not a MixedStrategy"),
+        (lambda g: rational("1/0"), ValueError, "malformed rational '1/0' (Fraction(1, 0))"),
     ], ids=["name-of-negative-index", "bool-index", "float-index", "uniform-of-none",
             "empty-strategy", "replace-player-out-of-range", "replace-bool-player",
             "payoff-bool-player", "payoff-str-player", "payoff-player-out-of-range",
@@ -256,7 +268,10 @@ class TestRefusals:
             "sum-of-huge-denominators", "names-entry-a-string", "names-entry-an-int",
             "names-a-string", "names-entry-huge-int", "table-a-list", "table-an-int",
             "profile-entry-not-a-strategy", "profile-not-a-profile",
-            "best-support-of-a-tuple"])
+            "best-support-of-a-tuple", "uniform-of-bool", "uniform-of-float",
+            "uniform-of-list-of-huge-int", "profile-an-int", "profile-a-huge-int",
+            "counts-an-int", "counts-a-string", "replace-with-an-int", "replace-with-a-tuple",
+            "rational-zero-denominator"])
     def test_exact_message(self, eq5, call, error, message):
         with pytest.raises(error) as exc:
             call(eq5)

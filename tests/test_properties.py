@@ -1,12 +1,15 @@
 """Property tests over small random rational games, drawn by Hypothesis."""
 
 import itertools
+import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergegames import (Game, MixedProfile, MixedStrategy, is_berge, is_nash,
                         parse_game, serialize_game, swap_payoffs_2p)
+from bergegames.game import _clip, _too_long, digit_limit, rational
 
 from conftest import oracle_expected_payoff
 
@@ -124,3 +127,55 @@ def test_worst_witness_matches_oracle(case):
     game, profile = case
     assert is_nash(game, profile).worst_witness == oracle_witness(game, profile, "nash")
     assert is_berge(game, profile).worst_witness == oracle_witness(game, profile, "berge")
+
+
+# Characters of the direct spellings `-?D+` and `-?D+/D+`, and of spellings
+# only `Fraction` reads or refuses: a sign, underscores, a decimal point, an
+# exponent, a space, a non-ASCII digit '٣' that `Fraction` reads as 3, and a
+# superscript '²' that it refuses.
+MANTISSA = "0123456789-+/_. \u0663\u00b2"
+# An exponent of at most two characters keeps every reading far below the
+# digit limit, so `Fraction` alone gives the reading of each drawn string.
+# '²' is left out of the exponent: rational's digit count of an exponent
+# refuses it with int()'s message, not Fraction's, on a path the direct
+# spellings never reach.
+spellings = st.builds(operator.add, st.text(MANTISSA, max_size=10),
+                      st.just("") | st.text(MANTISSA.replace("\u00b2", "e"), max_size=2)
+                      .map("e".__add__))
+
+
+def fraction_reading(text):
+    # What rational(text) gives through Fraction: Fraction's reading of it, or
+    # the refusal rational makes of it.
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return ValueError(f"malformed rational {_clip(text)} ({_clip(exc, str)})")
+    if _too_long(value.numerator):   # read whole where int() has no digit limit
+        return ValueError(f"numerator needs more than {digit_limit()} decimal digits")
+    return value
+
+
+def assert_reads_as_fraction(text):
+    expected = fraction_reading(text)
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as exc:
+            rational(text)
+        assert str(exc.value) == str(expected)
+    else:
+        value = rational(text)
+        assert type(value) is Fraction and value == expected
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(spellings)
+def test_rational_agrees_with_fraction_on_drawn_spellings(text):
+    assert_reads_as_fraction(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "-0", "007/014", "3/-4", "+1", " 1", "1_0", "-12/34", "0/5", "1/", "/2", "--1",
+    "4" * 41, "-" + "4" * 40, "7" * (digit_limit() + 1),
+], ids=lambda text: text if len(text) <= 12 else f"{len(text)}-chars")
+def test_rational_agrees_with_fraction_on_pinned_spellings(text):
+    assert_reads_as_fraction(text)
